@@ -7,7 +7,9 @@ Usage::
 
 Exits 0 when every tracked metric in the fresh report stays within the
 allowed fraction of the committed baseline's gate floor, 1 otherwise
-(printing one line per failed metric).  See docs/PERFORMANCE.md.
+(printing one line per failed metric).  When the baseline refresh lowered
+any floor (``update_perf_baseline.py --allow-lower``), the lowered floors
+and the recorded reason are printed first.  See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from repro.eval.perf import (
     DEFAULT_THRESHOLD,
     TRACKED_METRICS,
     compare_reports,
+    gate_lowering_note,
     load_perf_report,
 )
 
@@ -37,6 +40,9 @@ def main(argv: list[str] | None = None) -> int:
 
     fresh = load_perf_report(args.fresh)
     baseline = load_perf_report(args.baseline)
+    note = gate_lowering_note(baseline)
+    if note:
+        print(f"note: {note}")
     # A stale baseline (e.g. missing a newly tracked stage such as
     # fleet.speedup / streaming.speedup, the SoA-vs-scalar-twin gates, or
     # training.speedup, the fold-sliced-SMO-vs-reference gate) would

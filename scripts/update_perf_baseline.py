@@ -4,6 +4,7 @@
 Usage::
 
     python scripts/update_perf_baseline.py [--runs 3] [--out PATH]
+        [--allow-lower REASON]
 
 Runs the full benchmark sweep ``--runs`` times plus one fast-mode run,
 keeps the first full run as the reported measurement, and sets each gate
@@ -12,6 +13,12 @@ all runs.  Ratcheting the floors from a multi-run minimum keeps the 25%
 regression gate green under timer noise (single-run ratios vary ~±40% on
 busy runners) while a real regression — losing vectorization collapses
 every tracked ratio to ~1x — still fails by an order of magnitude.
+
+Floors only ratchet up: a floor the new runs would put below the one
+already committed at ``--out`` keeps its committed value.  Lowering it
+takes ``--allow-lower REASON``; the reason and the lowered floors are
+stored in the JSON (``gate_lowered``) and printed by
+``check_perf_regression.py`` on every gate run.
 
 Run this after intentionally changing hot-path performance — or after
 adding a tracked stage (the gate script rejects baselines missing one,
@@ -28,11 +35,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from repro.eval.perf import (
     GATE_MARGIN,
     TRACKED_METRICS,
     collect_perf_report,
+    load_perf_report,
+    ratchet_gate,
     write_perf_report,
 )
 
@@ -47,9 +57,18 @@ def main(argv: list[str] | None = None) -> int:
         default="benchmarks/results/BENCH_perf.json",
         help="output path (default %(default)s)",
     )
+    parser.add_argument(
+        "--allow-lower",
+        metavar="REASON",
+        help="let floors fall below the committed ones; REASON is recorded",
+    )
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be >= 1")
+    if args.allow_lower is not None and not args.allow_lower.strip():
+        parser.error("--allow-lower needs a non-empty REASON")
+    out = Path(args.out)
+    previous = load_perf_report(out).get("gate", {}) if out.exists() else {}
 
     # Every run includes the fleet and streaming stages: their speedups
     # are tracked, so the multi-run minimum must observe them alongside
@@ -67,14 +86,20 @@ def main(argv: list[str] | None = None) -> int:
     missing = [m for m in TRACKED_METRICS if m not in baseline["tracked"]]
     if missing:  # a baseline must cover every gated stage
         parser.error(f"baseline run is missing tracked metrics: {missing}")
+    candidate = {
+        name: round(min(r["metrics"][name] for r in reports) * GATE_MARGIN, 2)
+        for name in baseline["tracked"]
+    }
+    baseline["gate"], below = ratchet_gate(previous, candidate, args.allow_lower)
     for name in baseline["tracked"]:
-        observed = [r["metrics"][name] for r in reports]
-        baseline["gate"][name] = round(min(observed) * GATE_MARGIN, 2)
-        print(
-            f"{name}: observed {[round(v, 2) for v in observed]}"
-            f" -> gate floor {baseline['gate'][name]}"
-        )
-    path = write_perf_report(baseline, args.out)
+        observed = [round(r["metrics"][name], 2) for r in reports]
+        line = f"{name}: observed {observed} -> gate floor {baseline['gate'][name]}"
+        if name in below and args.allow_lower is None:
+            line += f" (kept; refused to lower to {candidate[name]})"
+        print(line)
+    if below and args.allow_lower is not None:
+        baseline["gate_lowered"] = {"reason": args.allow_lower, "floors": below}
+    path = write_perf_report(baseline, out)
     print(f"wrote {path}")
     return 0
 

@@ -205,5 +205,6 @@ def train_analytic_engine(
         )
         if best is None or candidate.test_accuracy > best.test_accuracy:
             best = candidate
-    assert best is not None  # split_repeats >= 1
+    if best is None:
+        raise ConfigurationError("split_repeats must be >= 1")
     return best

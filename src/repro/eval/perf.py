@@ -71,7 +71,7 @@ import platform
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -946,6 +946,50 @@ def load_perf_report(path: str | Path) -> Dict[str, Any]:
             f"{path}: unknown perf report schema {data.get('schema')!r}"
         )
     return data
+
+
+def ratchet_gate(
+    previous: Dict[str, float],
+    candidate: Dict[str, float],
+    allow_lower: Optional[str] = None,
+) -> Tuple[Dict[str, float], Dict[str, List[float]]]:
+    """Gate floors for a refreshed baseline that only ever ratchet up.
+
+    Each floor is the ``candidate`` (freshly measured) value unless that
+    would lower the ``previous`` committed floor: then the previous floor
+    is kept, or — only when ``allow_lower`` gives a non-empty reason — the
+    lower candidate is taken.
+
+    Returns:
+        ``(gate, below)``: the new floors, and ``{name: [previous,
+        candidate]}`` for every candidate below its previous floor (held
+        or, with ``allow_lower``, lowered).
+    """
+    if allow_lower is not None and not allow_lower.strip():
+        raise ConfigurationError("allow_lower needs a non-empty reason")
+    gate: Dict[str, float] = {}
+    below: Dict[str, List[float]] = {}
+    for name, value in candidate.items():
+        old = previous.get(name)
+        if old is not None and value < old:
+            below[name] = [old, value]
+            gate[name] = value if allow_lower is not None else old
+        else:
+            gate[name] = value
+    return gate, below
+
+
+def gate_lowering_note(baseline: Dict[str, Any]) -> Optional[str]:
+    """One line naming the floors a baseline refresh lowered, and why;
+    ``None`` when the baseline lowered none."""
+    record = baseline.get("gate_lowered")
+    if not record:
+        return None
+    floors = ", ".join(
+        f"{name} {old:.2f} -> {new:.2f}"
+        for name, (old, new) in sorted(record["floors"].items())
+    )
+    return f"baseline lowered gate floors ({floors}): {record['reason']}"
 
 
 def compare_reports(

@@ -183,10 +183,6 @@ class FlowNetwork:
 
         Exactly one of the two arguments must be given.
         """
-        if (forward_capacities is None) == (residual_capacities is None):
-            raise ConfigurationError(
-                "give exactly one of forward_capacities / residual_capacities"
-            )
         clone = FlowNetwork.__new__(FlowNetwork)
         clone._index = self._index
         clone._nodes = self._nodes
@@ -196,7 +192,7 @@ class FlowNetwork:
         clone._csr_start = start
         clone._csr_edges = order
         clone._frozen = True
-        if forward_capacities is not None:
+        if forward_capacities is not None and residual_capacities is None:
             caps = list(forward_capacities)
             if len(caps) != self.n_forward_edges:
                 raise ConfigurationError(
@@ -208,8 +204,7 @@ class FlowNetwork:
             full = [0.0] * len(self._etarget)
             full[0::2] = caps
             clone._ecap = full
-        else:
-            assert residual_capacities is not None
+        elif residual_capacities is not None and forward_capacities is None:
             full = list(residual_capacities)
             if len(full) != len(self._etarget):
                 raise ConfigurationError(
@@ -219,6 +214,10 @@ class FlowNetwork:
             if any(c < 0 for c in full):
                 raise ConfigurationError("negative capacity in clone")
             clone._ecap = full
+        else:
+            raise ConfigurationError(
+                "give exactly one of forward_capacities / residual_capacities"
+            )
         return clone
 
     def net_flow_from(self, node: Hashable) -> float:

@@ -180,7 +180,7 @@ def batch_crc16_ccitt(
 # -- Q16.16 payload serialisation ---------------------------------------------
 
 
-def _serial_width(fmt: FixedPointFormat) -> int:
+def serial_width(fmt: FixedPointFormat) -> int:
     """Word width in bytes; rejects non-byte-aligned formats."""
     if fmt.total_bits % 8 != 0:
         raise ConfigurationError(
@@ -191,7 +191,7 @@ def _serial_width(fmt: FixedPointFormat) -> int:
 
 def encode_values_scalar(values, fmt: FixedPointFormat = Q16_16) -> bytes:
     """Per-value reference implementation of :func:`encode_values`."""
-    width = _serial_width(fmt)
+    width = serial_width(fmt)
     arr = np.asarray(values, dtype=np.float64).ravel()
     if not np.isfinite(arr).all():
         raise ConfigurationError("cannot serialise non-finite values")
@@ -204,7 +204,7 @@ def encode_values_scalar(values, fmt: FixedPointFormat = Q16_16) -> bytes:
 
 def decode_values_scalar(data: bytes, fmt: FixedPointFormat = Q16_16) -> np.ndarray:
     """Per-value reference implementation of :func:`decode_values`."""
-    width = _serial_width(fmt)
+    width = serial_width(fmt)
     if len(data) % width != 0:
         raise IntegrityError(
             f"payload length {len(data)} is not a multiple of the "
@@ -240,7 +240,7 @@ def encode_values(values, fmt: FixedPointFormat = Q16_16) -> bytes:
     round-trips bit-identically — including both saturation boundaries.
     Vectorised; byte-for-byte identical to :func:`encode_values_scalar`.
     """
-    width = _serial_width(fmt)
+    width = serial_width(fmt)
     if width > 8:  # beyond one int64 word: keep the arbitrary-width path
         return encode_values_scalar(values, fmt)
     arr = np.asarray(values, dtype=np.float64).ravel()
@@ -265,7 +265,7 @@ def decode_values(data: bytes, fmt: FixedPointFormat = Q16_16) -> np.ndarray:
     Vectorised; element-for-element identical to
     :func:`decode_values_scalar`.
     """
-    width = _serial_width(fmt)
+    width = serial_width(fmt)
     # int64 reconstruction and exact float64 division both need the raw
     # word inside the double's 53-bit mantissa; wider formats fall back.
     if width > 8 or fmt.total_bits > 52:
@@ -567,7 +567,8 @@ class FrameBatch:
         if not self.ok[i]:
             raise IntegrityError(self.errors[i])
         payload = self.payloads[i]
-        assert payload is not None
+        if payload is None:
+            raise IntegrityError(f"frame {i} is marked verified but has no payload")
         return Frame(
             seq=int(self.seq[i]),
             payload=payload,
@@ -631,7 +632,7 @@ def decode_frames(
     err = np.where((err == 0) & (version != config.version), 2, err)
     err = np.where((err == 0) & (has_crc != config.crc), 3, err)
     err = np.where((err == 0) & (lens != expected), 4, err)
-    stated = computed = None
+    stated = computed = np.zeros(n, dtype=np.int64)
     if config.crc and n:
         width = matrix.shape[1]
         body_lens = np.clip(lens - CRC_BYTES, 0, width)
@@ -663,7 +664,6 @@ def decode_frames(
                 f"{int(expected[i])}"
             )
         else:
-            assert stated is not None and computed is not None
             errors[i] = (
                 f"CRC mismatch: trailer 0x{int(stated[i]):04X}, "
                 f"computed 0x{int(computed[i]):04X}"

@@ -10,9 +10,12 @@ per-call Python overhead.
 ``(n_events, n_features)`` matrix: per member it projects the batch onto
 the member's feature subspace once and evaluates a single ``(n_sv,
 n_events)`` Gram matrix, then fuses all member score columns with one
-matrix-vector product.  The arithmetic is identical to the scalar path —
-the same kernel, the same dual coefficients, the same fusion weights — so
-decisions are bit-for-bit the same; only the batching changes.
+matrix-vector product.  The arithmetic is the scalar path's — the same
+kernel, the same dual coefficients, the same fusion weights — so scores
+are bitwise those of :meth:`~repro.ml.subspace.RandomSubspaceClassifier.
+decision_function` on the same batch.  The kernel's BLAS cross-Gram may
+round a single event's score differently in the last ulps than a batch's;
+decisions agree with the per-event path.
 """
 
 from __future__ import annotations

@@ -6,40 +6,52 @@ pure in-sensor design affords (Section 1).  Both kernels are provided, with
 an operation-count model so the SVM functional cell's energy cost can be
 derived from its support-vector count and input dimensionality.
 
-Slice stability
----------------
+Two Gram paths
+--------------
 
-Gram matrices are *slice-stable*: every entry is a fixed-order reduction
-over the two input rows alone, never a function of which other rows share
-the call.  Concretely, for any row subset ``f``::
+``kernel(lhs, rhs)`` is the *inference* cross-Gram: the cross-product term
+is one BLAS ``lhs @ rhs.T`` on C-ordered operands, the fast path for
+scoring batches against support vectors.
 
-    kernel(X, X)[np.ix_(f, f)]  ==  kernel(X[f], X[f])     # bitwise
+The *training Gram protocol* — :meth:`Kernel.training_gram`,
+:meth:`Kernel.gram_precompute` and :meth:`Kernel.subspace_gram` — is
+*slice-stable*: every entry is a fixed-order reduction over the two input
+rows alone, never a function of which other rows share the call.
+Concretely, for any row subset ``f``::
+
+    kernel.training_gram(X, X)[np.ix_(f, f)]
+        ==  kernel.training_gram(X[f], X[f])     # bitwise
 
 This is what lets the training fast path build **one** full-row Gram per
 subspace draw and slice it across all CV folds and the final refit with
 bit-identical entries (see :meth:`Kernel.subspace_gram`).  A plain BLAS
 ``lhs @ rhs.T`` does *not* guarantee this — its blocking (and therefore
-its summation order) varies with the matrix shape — so the cross-product
-term is accumulated one rank-1 feature column at a time instead.
+its summation order) varies with the matrix shape and the thread count —
+so the protocol accumulates the cross-product term one rank-1 feature
+column at a time instead (:func:`_cross_dot`).  Trained models therefore
+never depend on BLAS blocking; only inference scores do, by at most a few
+ulps.
 
 Memory layout matters too: NumPy's axis reductions pick their summation
 order from the operand's strides (pairwise for a contiguous inner axis,
 sequential otherwise), and mixed basic/advanced indexing like
 ``X[:, subset]`` yields an F-ordered array while ``X[np.ix_(rows,
-subset)]`` yields a C-ordered one.  Every kernel entry point therefore
-normalises its operands to C order before reducing, so the same row
-contents always produce the same bits regardless of how the caller
-sliced them out.
+subset)]`` yields a C-ordered one.  Both paths therefore normalise their
+operands to C order before reducing, so the same row contents always
+produce the same bits regardless of how the caller sliced them out.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+#: A cross-product routine: ``(lhs_m, rhs_m) -> lhs_m @ rhs_m.T``.
+CrossProduct = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _cross_dot(lhs_m: np.ndarray, rhs_m: np.ndarray) -> np.ndarray:
@@ -55,16 +67,39 @@ def _cross_dot(lhs_m: np.ndarray, rhs_m: np.ndarray) -> np.ndarray:
     return out
 
 
+def _blas_dot(lhs_m: np.ndarray, rhs_m: np.ndarray) -> np.ndarray:
+    """BLAS ``lhs_m @ rhs_m.T``: the inference cross-product."""
+    return lhs_m @ rhs_m.T
+
+
+def _operands(lhs, rhs) -> Tuple[np.ndarray, np.ndarray]:
+    """Both operands as 2-D C-ordered float64 matrices of equal width."""
+    lhs_m = np.ascontiguousarray(np.atleast_2d(np.asarray(lhs, dtype=np.float64)))
+    rhs_m = np.ascontiguousarray(np.atleast_2d(np.asarray(rhs, dtype=np.float64)))
+    if lhs_m.shape[1] != rhs_m.shape[1]:
+        raise ConfigurationError(
+            f"dimension mismatch: {lhs_m.shape[1]} vs {rhs_m.shape[1]}"
+        )
+    return lhs_m, rhs_m
+
+
 class Kernel(ABC):
     """A positive-definite kernel ``k(x, z)`` with a hardware cost model."""
 
     @abstractmethod
     def __call__(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Gram matrix between row-sample matrices ``lhs`` and ``rhs``.
+        """Inference Gram matrix between row-sample matrices ``lhs`` and
+        ``rhs`` (BLAS cross-product; not slice-stable).
 
         Both arguments may also be single vectors; the result broadcasts to
         ``(len(lhs), len(rhs))`` for matrices and a scalar for two vectors.
         """
+
+    @abstractmethod
+    def _gram(
+        self, lhs_m: np.ndarray, rhs_m: np.ndarray, cross: CrossProduct
+    ) -> np.ndarray:
+        """Gram of two 2-D C-ordered operands, cross term from ``cross``."""
 
     @abstractmethod
     def operation_counts(self, dimension: int) -> Dict[str, int]:
@@ -75,7 +110,19 @@ class Kernel(ABC):
     def name(self) -> str:
         """Short kernel name for reports ("linear", "rbf")."""
 
-    # -- shared-precompute Gram protocol (training fast path) ---------------
+    def _evaluate(self, lhs, rhs, cross: CrossProduct):
+        gram = self._gram(*_operands(lhs, rhs), cross)
+        if np.ndim(lhs) == 1 and np.ndim(rhs) == 1:
+            return gram[0, 0]
+        return gram
+
+    # -- training Gram protocol (slice-stable) -------------------------------
+
+    def training_gram(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Slice-stable Gram matrix: same shapes and values as ``self(lhs,
+        rhs)`` to within rounding, but every entry is a function of its
+        two rows alone (see the module docstring)."""
+        return self._evaluate(lhs, rhs, _cross_dot)
 
     def gram_precompute(self, features: np.ndarray) -> Optional[np.ndarray]:
         """Per-column precomputation reusable across subspace draws.
@@ -93,7 +140,7 @@ class Kernel(ABC):
         pre: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Full-row Gram over a feature subset, bitwise equal to
-        ``self(features[:, subset], features[:, subset])``.
+        ``self.training_gram(features[:, subset], features[:, subset])``.
 
         Args:
             features: Full ``(n, d)`` feature matrix.
@@ -102,8 +149,8 @@ class Kernel(ABC):
                 matrix, shared across draws.
         """
         X = np.asarray(features, dtype=np.float64)
-        sub = np.asarray(subset, dtype=np.intp)
-        return self(X[:, sub], X[:, sub])
+        Xs = np.ascontiguousarray(X[:, np.asarray(subset, dtype=np.intp)])
+        return self._gram(Xs, Xs, _cross_dot)
 
 
 class LinearKernel(Kernel):
@@ -114,16 +161,10 @@ class LinearKernel(Kernel):
         return "linear"
 
     def __call__(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        lhs_m = np.ascontiguousarray(np.atleast_2d(np.asarray(lhs, dtype=np.float64)))
-        rhs_m = np.ascontiguousarray(np.atleast_2d(np.asarray(rhs, dtype=np.float64)))
-        if lhs_m.shape[1] != rhs_m.shape[1]:
-            raise ConfigurationError(
-                f"dimension mismatch: {lhs_m.shape[1]} vs {rhs_m.shape[1]}"
-            )
-        gram = _cross_dot(lhs_m, rhs_m)
-        if np.asarray(lhs).ndim == 1 and np.asarray(rhs).ndim == 1:
-            return gram[0, 0]
-        return gram
+        return self._evaluate(lhs, rhs, _blas_dot)
+
+    def _gram(self, lhs_m, rhs_m, cross: CrossProduct) -> np.ndarray:
+        return cross(lhs_m, rhs_m)
 
     def operation_counts(self, dimension: int) -> Dict[str, int]:
         if dimension <= 0:
@@ -148,20 +189,12 @@ class RBFKernel(Kernel):
         return "rbf"
 
     def __call__(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        lhs_m = np.ascontiguousarray(np.atleast_2d(np.asarray(lhs, dtype=np.float64)))
-        rhs_m = np.ascontiguousarray(np.atleast_2d(np.asarray(rhs, dtype=np.float64)))
-        if lhs_m.shape[1] != rhs_m.shape[1]:
-            raise ConfigurationError(
-                f"dimension mismatch: {lhs_m.shape[1]} vs {rhs_m.shape[1]}"
-            )
-        gram = self._assemble(
-            (lhs_m**2).sum(axis=1),
-            (rhs_m**2).sum(axis=1),
-            _cross_dot(lhs_m, rhs_m),
+        return self._evaluate(lhs, rhs, _blas_dot)
+
+    def _gram(self, lhs_m, rhs_m, cross: CrossProduct) -> np.ndarray:
+        return self._assemble(
+            (lhs_m**2).sum(axis=1), (rhs_m**2).sum(axis=1), cross(lhs_m, rhs_m)
         )
-        if np.asarray(lhs).ndim == 1 and np.asarray(rhs).ndim == 1:
-            return gram[0, 0]
-        return gram
 
     def _assemble(
         self, lhs_sq: np.ndarray, rhs_sq: np.ndarray, cross: np.ndarray

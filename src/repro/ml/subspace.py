@@ -56,11 +56,12 @@ def _sliced_scores(
 ) -> np.ndarray:
     """Validation decision scores from a shared full-row Gram.
 
-    Bitwise equal to ``svm.decision_function(X[np.ix_(val_rows, subset)])``
-    for an SVM trained on ``X[np.ix_(train_rows, subset)]``: the kernel's
-    slice stability makes the cross-Gram block between the support rows and
-    the validation rows identical to a fresh kernel evaluation, so only the
-    same ``dual_coef @ cross + bias`` contraction remains.
+    Bitwise equal to ``svm.decision_function(X[np.ix_(val_rows, subset)],
+    stable=True)`` for an SVM trained on ``X[np.ix_(train_rows, subset)]``:
+    the training Gram's slice stability makes the cross-Gram block between
+    the support rows and the validation rows identical to a fresh
+    evaluation, so only the same ``dual_coef @ cross + bias`` contraction
+    remains.
     """
     rows = np.asarray(train_rows, dtype=np.intp)[svm.support_indices]
     cross = full_gram[np.ix_(rows, np.asarray(val_rows, dtype=np.intp))]
@@ -159,10 +160,18 @@ class SubspaceMember:
     classifier: SVMClassifier
     validation_accuracy: float
 
-    def scores(self, features: np.ndarray) -> np.ndarray:
-        """Decision scores on full feature rows (subspace projection inside)."""
+    def scores(self, features: np.ndarray, *, stable: bool = False) -> np.ndarray:
+        """Decision scores on full feature rows (subspace projection inside).
+
+        ``stable`` selects the slice-stable training Gram (see
+        :meth:`~repro.ml.svm.SVMClassifier.decision_function`).
+        """
         X = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        return np.atleast_1d(self.classifier.decision_function(X[:, self.feature_indices]))
+        return np.atleast_1d(
+            self.classifier.decision_function(
+                X[:, self.feature_indices], stable=stable
+            )
+        )
 
 
 class RandomSubspaceClassifier:
@@ -346,7 +355,9 @@ class RandomSubspaceClassifier:
         n_keep = max(1, int(round(len(candidates) * self.keep_fraction)))
         self.members = candidates[:n_keep]
 
-        base_scores = np.column_stack([m.scores(X) for m in self.members])
+        # Training-time scores go through the slice-stable training Gram,
+        # so the fusion weights are independent of BLAS blocking.
+        base_scores = np.column_stack([m.scores(X, stable=True) for m in self.members])
         self.fusion = WeightedVotingFusion().fit(base_scores, y)
         return self
 
@@ -365,7 +376,10 @@ class RandomSubspaceClassifier:
             except TrainingError:
                 return None  # a degenerate fold; skip this draw
             preds = (
-                np.atleast_1d(svm.decision_function(X[np.ix_(val_idx, subset)])) > 0
+                np.atleast_1d(
+                    svm.decision_function(X[np.ix_(val_idx, subset)], stable=True)
+                )
+                > 0
             ).astype(int)
             return SubspaceMember(subset, svm, accuracy(y[val_idx], preds))
         fold_accuracies = []
@@ -381,7 +395,10 @@ class RandomSubspaceClassifier:
             except TrainingError:
                 continue
             preds = (
-                np.atleast_1d(svm.decision_function(X[np.ix_(val_f, subset)])) > 0
+                np.atleast_1d(
+                    svm.decision_function(X[np.ix_(val_f, subset)], stable=True)
+                )
+                > 0
             ).astype(int)
             fold_accuracies.append(accuracy(y[val_f], preds))
         if not fold_accuracies:

@@ -131,7 +131,7 @@ class SVMClassifier:
         """
         X, y = self._prepare_training(features, labels)
         n = len(X)
-        gram = self.kernel(X, X)
+        gram = self.kernel.training_gram(X, X)
         alphas = np.zeros(n)
         bias = 0.0
         rng = np.random.default_rng(self.seed)
@@ -218,14 +218,14 @@ class SVMClassifier:
         Args:
             features: ``(n, d)`` training rows.
             labels: Binary {0, 1} labels.
-            gram: Optional precomputed ``kernel(features, features)``
-                matrix — e.g. an ``np.ix_`` fold slice of a shared
-                full-row Gram (see :meth:`Kernel.subspace_gram`).
+            gram: Optional precomputed ``kernel.training_gram(features,
+                features)`` matrix — e.g. an ``np.ix_`` fold slice of a
+                shared full-row Gram (see :meth:`Kernel.subspace_gram`).
         """
         X, y = self._prepare_training(features, labels)
         n = len(X)
         if gram is None:
-            gram = self.kernel(X, X)
+            gram = self.kernel.training_gram(X, X)
         else:
             gram = np.asarray(gram, dtype=np.float64)
             if gram.shape != (n, n):
@@ -439,15 +439,24 @@ class SVMClassifier:
         self._require_fitted()
         return self._bias
 
-    def decision_function(self, features: np.ndarray) -> np.ndarray:
-        """Signed margin scores; positive means class 1."""
+    def decision_function(
+        self, features: np.ndarray, *, stable: bool = False
+    ) -> np.ndarray:
+        """Signed margin scores; positive means class 1.
+
+        ``stable=True`` evaluates the kernel through the slice-stable
+        training Gram (:meth:`~repro.ml.kernels.Kernel.training_gram`)
+        instead of the BLAS inference cross-Gram — what training-time
+        scoring uses, so trained models never depend on BLAS blocking.
+        """
         self._require_fitted()
         X = np.atleast_2d(np.asarray(features, dtype=np.float64))
         if X.shape[1] != self._dimension:
             raise ConfigurationError(
                 f"feature dimension {X.shape[1]} != trained {self._dimension}"
             )
-        gram = self.kernel(self._support_vectors, X)
+        gram_fn = self.kernel.training_gram if stable else self.kernel
+        gram = gram_fn(self._support_vectors, X)
         scores = self._dual_coef @ np.atleast_2d(gram) + self._bias
         return scores if np.asarray(features).ndim == 2 else scores[0]
 

@@ -155,13 +155,17 @@ class BurstLoss(FaultModel):
             self.params, seed=int(rng.integers(2**31))
         )
 
-    def try_lost(self, event_index: int, attempt: int) -> bool:
-        """Advance the chain one attempt; True when that attempt is lost."""
+    def armed_channel(self) -> GilbertElliottChannel:
+        """The chain :meth:`reset` armed; raises before the first reset."""
         if self._channel is None:
             raise ConfigurationError(
                 "BurstLoss used outside a campaign: call reset() first"
             )
-        return self._channel.next_outcome()
+        return self._channel
+
+    def try_lost(self, event_index: int, attempt: int) -> bool:
+        """Advance the chain one attempt; True when that attempt is lost."""
+        return self.armed_channel().next_outcome()
 
 
 @dataclass
@@ -1179,9 +1183,7 @@ class FaultCampaign:
             elif isinstance(fault, AggregatorStall):
                 stall += np.where(window, fault.extra_delay_s, 0.0)
             elif isinstance(fault, BurstLoss):
-                channel = fault._channel
-                assert channel is not None  # armed by reset() above
-                loss_draws.append(channel.outcome_block)
+                loss_draws.append(fault.armed_channel().outcome_block)
             elif isinstance(fault, PayloadCorruption):
                 if fault.mode == "erasure":
                     loss_draws.append(

@@ -532,19 +532,7 @@ class StreamPool:
 
     def append(self, stream: int, value: float) -> bool:
         """Accept one sample for one stream; ``False`` if rejected/dropped."""
-        x = float(value)
-        if not np.isfinite(x):
-            self.rejected_samples[stream] += 1
-            return False
-        if self.policy == "drop_new" and self._pending(stream) >= self.spec.capacity:
-            self.dropped_samples[stream] += 1
-            return False
-        self._ring[stream, int(self.written[stream]) % self.spec.capacity] = x
-        self.written[stream] += 1
-        self.accepted_samples[stream] += 1
-        if self.policy == "skip_stale":
-            self._skip_stale(stream)
-        return True
+        return self.extend(stream, [float(value)]) == 1
 
     def extend(self, stream: int, chunk: Sequence[float]) -> int:
         """Accept a burst of samples for one stream; returns accepted count.
@@ -588,8 +576,8 @@ class StreamPool:
         ``block`` is ``(n_streams, k)``: sample column ``j`` arrives at
         every stream before column ``j + 1`` (the fixed-rate fan-in
         shape).  The all-finite, capacity-clean case is one vectorised
-        ring scatter; anything else falls back to per-stream
-        :meth:`extend` with identical results.
+        ring scatter; anything else is one :meth:`extend_ragged` call.
+        Both are identical to per-stream :meth:`extend` calls.
         """
         x = np.asarray(block, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.n_streams:
@@ -605,17 +593,77 @@ class StreamPool:
             pending = self.written - self.emitted * self.spec.hops
             clean = bool((c - pending >= k).all())
         if not clean:
-            return sum(self.extend(s, x[s]) for s in range(self.n_streams))
+            counts = np.full(self.n_streams, k, dtype=np.int64)
+            return int(self.extend_ragged(counts, x.ravel()).sum())
         cols = (self.written[:, None] + np.arange(k)[None, :]) % c
         np.put_along_axis(self._ring, cols, x, axis=1)
         self.written += k
         self.accepted_samples += k
         if self.policy == "skip_stale":
-            min_start = self.written - c
-            fresh = np.maximum(self.emitted, _ceil_div(min_start, self.spec.hops))
-            self.skipped_windows += fresh - self.emitted
-            self.emitted = fresh
+            self._advance_stale()
         return int(self.n_streams) * k
+
+    def extend_ragged(self, counts: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Accept one chunk per stream, of any lengths, in one pass.
+
+        ``values`` is the stream-major concatenation of the chunks and
+        ``counts[s]`` the length of stream ``s``'s chunk (``0`` for none).
+        The results — ring contents, cursors and every accounting column —
+        equal :meth:`extend` applied to each stream's chunk, in order,
+        split into any number of consecutive calls: non-finite samples
+        are rejected; under ``drop_new`` each stream keeps the prefix that
+        fits its room (``capacity`` minus pending samples) and drops the
+        rest; only the last ``capacity`` accepted samples per stream reach
+        the ring; under ``skip_stale`` evicted windows are skipped.
+
+        Returns:
+            Accepted samples per stream, shape ``(n_streams,)``.
+        """
+        n = self.n_streams
+        counts = np.asarray(counts, dtype=np.int64)
+        x = np.asarray(values, dtype=np.float64).ravel()
+        if counts.shape != (n,) or (n and int(counts.min()) < 0):
+            raise ConfigurationError(
+                f"counts must be {n} non-negative chunk lengths, "
+                f"got shape {counts.shape}"
+            )
+        if int(counts.sum()) != x.size:
+            raise ConfigurationError(
+                f"counts sum to {int(counts.sum())} but {x.size} values given"
+            )
+        owner = np.repeat(np.arange(n, dtype=np.int64), counts)
+        finite = np.isfinite(x)
+        owner, x = owner[finite], x[finite]
+        offered = np.bincount(owner, minlength=n)
+        self.rejected_samples += counts - offered
+        c = self.spec.capacity
+        if self.policy == "drop_new":
+            room = c - (self.written - self.emitted * self.spec.hops)
+            taken = np.minimum(offered, np.maximum(room, 0))
+            self.dropped_samples += offered - taken
+        else:
+            taken = offered
+        # Rank of each sample in its stream's finite run; keep the accepted
+        # prefix, and of that only the last `capacity` (earlier ones would
+        # be overwritten in the ring anyway).
+        rank = np.arange(x.size) - np.repeat(np.cumsum(offered) - offered, offered)
+        keep = (rank < taken[owner]) & (rank >= taken[owner] - c)
+        owner, rank = owner[keep], rank[keep]
+        self._ring[owner, (self.written[owner] + rank) % c] = x[keep]
+        self.written += taken
+        self.accepted_samples += taken
+        if self.policy == "skip_stale":
+            self._advance_stale()
+        return taken
+
+    def _advance_stale(self) -> None:
+        """:meth:`_skip_stale` for every stream at once."""
+        fresh = np.maximum(
+            self.emitted,
+            _ceil_div(self.written - self.spec.capacity, self.spec.hops),
+        )
+        self.skipped_windows += fresh - self.emitted
+        self.emitted = fresh
 
     # -- scoring -------------------------------------------------------------
 

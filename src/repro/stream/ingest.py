@@ -7,9 +7,9 @@ it decodes frame batches with the vectorised batch codec
 (:func:`~repro.hw.framing.decode_frames`), enforces per-stream sequence
 discipline in the modular space of :data:`~repro.hw.framing.SEQ_MODULUS`
 (duplicates discarded, gaps counted with their implied missing frames),
-deserialises accepted payloads, and feeds them to
-:meth:`~repro.stream.engine.StreamPool.extend` — where the pool's own
-non-finite rejection and backpressure accounting take over.
+deserialises every accepted payload in one call, and writes them with
+one :meth:`~repro.stream.engine.StreamPool.extend_ragged` — where the
+pool's own non-finite rejection and backpressure accounting take over.
 
 Integrity columns are struct-of-arrays like the pool itself: one int64
 column per counter across all streams, aggregated to per-tenant
@@ -24,13 +24,14 @@ from typing import Dict, Optional, Sequence, Union
 import numpy as np
 
 from repro.dsp.fixedpoint import FixedPointFormat, Q16_16
-from repro.errors import ConfigurationError, IntegrityError
+from repro.errors import ConfigurationError
 from repro.hw.framing import (
     SEQ_MODULUS,
     FramingConfig,
     IntegrityCounters,
     decode_frames,
     decode_values,
+    serial_width,
 )
 from repro.stream.engine import StreamPool
 
@@ -83,7 +84,21 @@ class FrameIngestor:
         ``stream_ids[i]`` owns ``frames[i]``; frames are processed in
         batch order, which is arrival order per stream.  Decoding and CRC
         verification run once for the whole batch through the vectorised
-        codec; sequencing is per stream.
+        codec.  Verified frames are stable-sorted by stream and the
+        sequence state machine runs vectorised across streams, one round
+        per frame position within a stream; every accepted payload is
+        then deserialised with one :func:`decode_values` call and written
+        with one :meth:`~repro.stream.engine.StreamPool.extend_ragged`.
+
+        Per frame the checks run in a fixed order: corrupt (failed
+        CRC/structure), then duplicate/stale, then gap accounting, then
+        payload width (a payload that is not whole words is corrupt and
+        does not consume its sequence number), then accept.
+
+        Raises:
+            ConfigurationError: On malformed batches, stream ids outside
+                the pool, or — once any frame verifies — a payload format
+                that is not byte-aligned.
         """
         sids = np.asarray(stream_ids, dtype=np.int64)
         batch = decode_frames(frames, self.config, lengths)
@@ -92,48 +107,68 @@ class FrameIngestor:
                 f"stream_ids must be a length-{len(batch)} vector, "
                 f"got shape {sids.shape}"
             )
-        if len(batch) and not (
-            0 <= int(sids.min()) and int(sids.max()) < self.pool.n_streams
-        ):
-            raise ConfigurationError(
-                f"stream ids must lie in [0, {self.pool.n_streams})"
-            )
-        accepted = 0
+        n = self.pool.n_streams
+        if len(batch) and not (0 <= int(sids.min()) and int(sids.max()) < n):
+            raise ConfigurationError(f"stream ids must lie in [0, {n})")
+        self.frames_corrupt += np.bincount(sids[~batch.ok], minlength=n)
+        # Verified frames only, stable-sorted by stream: arrival order is
+        # kept within each stream, and corrupt frames never touch state.
+        live = np.flatnonzero(batch.ok)
+        if live.size == 0:
+            return 0
+        width = serial_width(self.fmt)
+        live = live[np.argsort(sids[live], kind="stable")]
+        s = sids[live]
+        seq = batch.seq[live].astype(np.int64)
+        nbytes = np.fromiter(
+            (len(batch.payloads[i]) for i in live), dtype=np.int64, count=live.size
+        )
+        per_stream = np.bincount(s, minlength=n)
+        position = np.arange(live.size) - np.repeat(
+            np.cumsum(per_stream) - per_stream, per_stream
+        )
+        delta = np.zeros(live.size, dtype=np.int64)
+        duplicate = np.zeros(live.size, dtype=bool)
+        accept = np.zeros(live.size, dtype=bool)
+        misaligned = nbytes % width != 0
         half = SEQ_MODULUS // 2
-        for i in range(len(batch)):
-            s = int(sids[i])
-            if not batch.ok[i]:
-                self.frames_corrupt[s] += 1
-                continue
-            seq = int(batch.seq[i])
-            if self._synced[s]:
-                delta = (seq - int(self._expected[s])) % SEQ_MODULUS
-                if delta == 0:
-                    pass
-                elif delta < half:
-                    self.sequence_gaps[s] += 1
-                    self.frames_missing[s] += delta
-                else:
-                    self.frames_duplicate[s] += 1
-                    continue
-            payload = batch.payloads[i]
-            assert payload is not None
-            try:
-                values = decode_values(payload, self.fmt)
-            except IntegrityError:
-                # Structurally valid frame, but the payload is not whole
-                # fixed-point words — corrupt at the payload layer.
-                self.frames_corrupt[s] += 1
-                continue
-            self._expected[s] = (seq + 1) % SEQ_MODULUS
-            self._synced[s] = True
-            self.frames_ok[s] += 1
-            if bool(batch.last[i]):
-                self.payloads_ok[s] += 1
-            got = self.pool.extend(s, values)
-            self.samples_in[s] += got
-            accepted += got
-        return accepted
+        # Round r takes the r-th verified frame of every stream that has
+        # one; streams are distinct within a round, so per-stream state
+        # updates are plain fancy-index writes.
+        by_round = np.argsort(position, kind="stable")
+        bounds = np.cumsum(np.bincount(position))
+        for lo, hi in zip(np.r_[0, bounds[:-1]], bounds):
+            k = by_round[lo:hi]
+            st = s[k]
+            d = np.where(
+                self._synced[st], (seq[k] - self._expected[st]) % SEQ_MODULUS, 0
+            )
+            dup = d >= half
+            took = ~dup & ~misaligned[k]
+            delta[k] = d
+            duplicate[k] = dup
+            accept[k] = took
+            self._expected[st[took]] = (seq[k[took]] + 1) % SEQ_MODULUS
+            self._synced[st[took]] = True
+        gap = (delta > 0) & ~duplicate
+        self.frames_duplicate += np.bincount(s[duplicate], minlength=n)
+        self.sequence_gaps += np.bincount(s[gap], minlength=n)
+        self.frames_missing += np.bincount(
+            s[gap], weights=delta[gap], minlength=n
+        ).astype(np.int64)
+        self.frames_corrupt += np.bincount(s[~duplicate & misaligned], minlength=n)
+        self.frames_ok += np.bincount(s[accept], minlength=n)
+        self.payloads_ok += np.bincount(
+            s[accept & batch.last[live]], minlength=n
+        )
+        taken = live[accept]
+        values = decode_values(b"".join([batch.payloads[i] for i in taken]), self.fmt)
+        counts = np.bincount(
+            s[accept], weights=nbytes[accept] // width, minlength=n
+        ).astype(np.int64)
+        got = self.pool.extend_ragged(counts, values)
+        self.samples_in += got
+        return int(got.sum())
 
     def stream_counters(self, stream: int) -> IntegrityCounters:
         """One stream's integrity bookkeeping as scalar counters."""

@@ -84,13 +84,13 @@ class TestFastSMOIdentity:
     @settings(max_examples=15, deadline=None)
     @given(data_seed=st.integers(0, 2**32 - 1))
     def test_injected_gram_matches_internal(self, data_seed):
-        """fit(gram=...) with the kernel's own Gram changes nothing."""
+        """fit(gram=...) with the kernel's own training Gram changes nothing."""
         rng = np.random.default_rng(data_seed)
         X, y = _separable_data(rng, 40, 6)
         kernel = RBFKernel(gamma=0.5)
         plain = SVMClassifier(kernel=kernel, C=1.0, seed=3).fit(X, y)
         injected = SVMClassifier(kernel=kernel, C=1.0, seed=3).fit(
-            X, y, gram=kernel(X, X)
+            X, y, gram=kernel.training_gram(X, X)
         )
         assert _svms_identical(plain, injected)
 
@@ -150,16 +150,36 @@ class TestGramSliceStability:
     @settings(max_examples=20, deadline=None)
     @given(data_seed=st.integers(0, 2**32 - 1))
     def test_subspace_gram_matches_direct(self, data_seed):
-        """subspace_gram (with and without precompute) == kernel on the
-        column slice, despite the F-order layout of ``X[:, subset]``."""
+        """subspace_gram (with and without precompute) == the directly
+        built training Gram on the column slice, despite the F-order
+        layout of ``X[:, subset]``."""
         rng = np.random.default_rng(data_seed)
         X = rng.normal(size=(20, 14))
         sub = np.sort(rng.permutation(14)[:5])
         kernel = RBFKernel(gamma=0.5)
-        direct = kernel(X[:, sub], X[:, sub])
+        direct = kernel.training_gram(X[:, sub], X[:, sub])
         assert np.array_equal(kernel.subspace_gram(X, sub), direct)
         pre = kernel.gram_precompute(X)
         assert np.array_equal(kernel.subspace_gram(X, sub, pre), direct)
+
+    def test_sliced_scores_match_stable_decision_function(self):
+        """Validation scores sliced from the shared full-row Gram are the
+        SVM's training-Gram scores, bitwise."""
+        from repro.ml.subspace import _sliced_scores
+
+        rng = np.random.default_rng(9)
+        X, y = _separable_data(rng, 40, 8)
+        sub = np.array([0, 2, 3, 6])
+        train, val = np.arange(0, 40, 2), np.arange(1, 40, 2)
+        kernel = RBFKernel(gamma=0.5)
+        full = kernel.subspace_gram(X, sub)
+        svm = SVMClassifier(kernel=kernel, seed=3).fit(
+            X[np.ix_(train, sub)], y[train], gram=full[np.ix_(train, train)]
+        )
+        assert np.array_equal(
+            _sliced_scores(svm, full, train, val),
+            svm.decision_function(X[np.ix_(val, sub)], stable=True),
+        )
 
     def test_layout_independence(self):
         """F-ordered and C-ordered copies of the same rows give the same bits."""
@@ -169,6 +189,73 @@ class TestGramSliceStability:
         c_order = np.ascontiguousarray(X)
         f_order = np.asfortranarray(X)
         assert np.array_equal(kernel(c_order, c_order), kernel(f_order, f_order))
+
+
+class TestInferenceGramContract:
+    """``kernel(lhs, rhs)`` is the BLAS inference cross-Gram: not
+    slice-stable, but within rounding of the training Gram."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        data_seed=st.integers(0, 2**32 - 1),
+        rbf=st.booleans(),
+        n_lhs=st.integers(1, 40),
+        n_rhs=st.integers(1, 40),
+        dim=st.integers(1, 16),
+    )
+    def test_call_matches_training_gram(self, data_seed, rbf, n_lhs, n_rhs, dim):
+        """Entrywise |call - training| <= 1e-12 relative: to the Gram
+        value for RBF (in (0, 1]), to the row-norm product for the linear
+        kernel (a dot product's own scale, immune to cancellation)."""
+        rng = np.random.default_rng(data_seed)
+        A = rng.uniform(0.0, 1.0, size=(n_lhs, dim))  # min-max scaled rows
+        B = rng.uniform(0.0, 1.0, size=(n_rhs, dim))
+        kernel = RBFKernel(gamma=0.5) if rbf else LinearKernel()
+        fast, stable = kernel(A, B), kernel.training_gram(A, B)
+        assert fast.shape == stable.shape == (n_lhs, n_rhs)
+        if rbf:
+            scale = np.abs(stable)
+        else:
+            scale = np.outer(np.linalg.norm(A, axis=1), np.linalg.norm(B, axis=1))
+        assert (np.abs(fast - stable) <= 1e-12 * scale).all()
+
+    def test_vector_operands_return_scalars(self):
+        x, z = np.array([0.1, 0.4, 0.2]), np.array([0.3, 0.0, 0.5])
+        for kernel in (RBFKernel(gamma=0.7), LinearKernel()):
+            assert np.ndim(kernel(x, z)) == 0
+            assert np.ndim(kernel.training_gram(x, z)) == 0
+
+    def test_fusion_is_fitted_on_training_gram_scores(self):
+        """Trained fusion weights come from slice-stable member scores, so
+        a trained ensemble never depends on BLAS blocking."""
+        from repro.ml.fusion import WeightedVotingFusion
+
+        rng = np.random.default_rng(4)
+        X = rng.uniform(0.0, 1.0, size=(60, 10))
+        y = (X[:, 0] + 0.2 * rng.normal(size=60) > 0.5).astype(int)
+        ens = RandomSubspaceClassifier(
+            n_features=10, subspace_dim=4, n_draws=4, keep_fraction=0.5, seed=2
+        ).fit(X, y)
+        stable = np.column_stack([m.scores(X, stable=True) for m in ens.members])
+        refit = WeightedVotingFusion().fit(stable, y)
+        assert np.array_equal(refit.weights, ens.fusion.weights)
+        assert refit.intercept == ens.fusion.intercept
+
+    def test_batch_scorer_matches_per_event_predict_segment(
+        self, tiny_engine, tiny_dataset
+    ):
+        """One BLAS cross-Gram per member over the whole batch decides
+        every event exactly as the per-event path does."""
+        from repro.dsp.batch import batch_extract_matrix
+        from repro.ml.inference import EnsembleBatchScorer
+
+        segments = tiny_dataset.segments
+        features = tiny_engine.normalizer.transform(
+            batch_extract_matrix(segments, tiny_engine.layout)
+        )
+        batched = EnsembleBatchScorer(tiny_engine.ensemble).predict(features)
+        per_event = [tiny_engine.predict_segment(seg) for seg in segments]
+        assert np.array_equal(batched, per_event)
 
 
 @pytest.fixture(scope="module")
