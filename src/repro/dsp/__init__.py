@@ -17,6 +17,7 @@ from repro.dsp.features import (
     FeatureExtractor,
     batch_feature_matrix,
     crossing_count,
+    crossing_counts,
     feature_vector,
     kurtosis,
     maximum,
@@ -49,6 +50,7 @@ __all__ = [
     "WaveletFilter",
     "batch_feature_matrix",
     "crossing_count",
+    "crossing_counts",
     "dwt_multilevel",
     "dwt_multilevel_batch",
     "dwt_single_level",

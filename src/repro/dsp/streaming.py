@@ -1,12 +1,17 @@
 """Single-pass (streaming) statistical feature extraction.
 
 The in-sensor feature cells are single-pass datapaths: they consume the
-segment sample by sample, maintaining raw power sums
-``S1 = sum x, S2 = sum x^2, S3 = sum x^3, S4 = sum x^4`` plus running
-max/min, and produce the statistical features at segment end — exactly the
-hardware structure behind the op counts in
-:func:`repro.dsp.features.operation_counts`.  This module provides that
-accumulator as a software object, so streaming deployments (see
+segment sample by sample, maintaining power sums plus running max/min, and
+produce the statistical features at segment end — exactly the hardware
+structure behind the op counts in
+:func:`repro.dsp.features.operation_counts`.  Mean and variance come from
+the raw sums ``S1 = sum x`` and ``S2 = sum x^2``; skew and kurtosis from
+the sums of ``d^k = (x - p)^k``, ``k = 1..4``, about a pivot ``p`` latched
+from the first sample.  Raw third and fourth power sums cancel
+catastrophically on near-constant segments with an offset; about a pivot
+inside the data the cancellation depends on the segment length, not on
+the offset.  This module provides that accumulator as a software
+object, so streaming deployments (see
 ``examples/ecg_monitor.py``) can compute features without buffering a
 whole segment, and so the tests can verify the single-pass formulation is
 algebraically identical to the batch reference.
@@ -19,6 +24,7 @@ a buffer (Fig. 3) and the highest comparator count of the feature set.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Dict, Iterable
 
@@ -40,7 +46,7 @@ STREAMING_FEATURES = ("max", "min", "mean", "var", "std", "skew", "kurt")
 
 
 class StreamingMoments:
-    """Single-pass accumulator of raw power sums and extrema.
+    """Single-pass accumulator of power sums and extrema.
 
     >>> acc = StreamingMoments()
     >>> acc.extend([1.0, 2.0, 3.0])
@@ -52,8 +58,12 @@ class StreamingMoments:
         self._n = 0
         self._s1 = 0.0
         self._s2 = 0.0
-        self._s3 = 0.0
-        self._s4 = 0.0
+        # Power sums of d = x - pivot; the pivot is the first sample.
+        self._pivot = 0.0
+        self._d1 = 0.0
+        self._d2 = 0.0
+        self._d3 = 0.0
+        self._d4 = 0.0
         self._max = -math.inf
         self._min = math.inf
 
@@ -74,12 +84,17 @@ class StreamingMoments:
             raise ConfigurationError(
                 f"cannot accumulate non-finite sample {x!r}"
             )
+        if self._n == 0:
+            self._pivot = x
         self._n += 1
         self._s1 += x
-        x2 = x * x
-        self._s2 += x2
-        self._s3 += x2 * x
-        self._s4 += x2 * x2
+        self._s2 += x * x
+        d = x - self._pivot
+        d2 = d * d
+        self._d1 += d
+        self._d2 += d2
+        self._d3 += d2 * d
+        self._d4 += d2 * d2
         if x > self._max:
             self._max = x
         if x < self._min:
@@ -101,15 +116,15 @@ class StreamingMoments:
             if x.size == 0:
                 return
             if np.isfinite(x).all():
-                x2 = x * x
-                self._s1 = float(np.cumsum(np.concatenate(([self._s1], x)))[-1])
-                self._s2 = float(np.cumsum(np.concatenate(([self._s2], x2)))[-1])
-                self._s3 = float(
-                    np.cumsum(np.concatenate(([self._s3], x2 * x)))[-1]
-                )
-                self._s4 = float(
-                    np.cumsum(np.concatenate(([self._s4], x2 * x2)))[-1]
-                )
+                if self._n == 0:
+                    self._pivot = float(x[0])
+                d = x - self._pivot
+                d2 = d * d
+                for name, terms in (("_s1", x), ("_s2", x * x), ("_d1", d),
+                                    ("_d2", d2), ("_d3", d2 * d),
+                                    ("_d4", d2 * d2)):
+                    seeded = np.concatenate(([getattr(self, name)], terms))
+                    setattr(self, name, float(np.cumsum(seeded)[-1]))
                 self._n += x.size
                 top = float(x.max())
                 bot = float(x.min())
@@ -127,19 +142,25 @@ class StreamingMoments:
         An empty side contributes nothing: its ``±inf`` extrema sentinels
         are never allowed to leak into the merged max/min.
         """
+        if self._n == 0 or other._n == 0:
+            return copy.copy(other if self._n == 0 else self)
         out = StreamingMoments()
         out._n = self._n + other._n
         out._s1 = self._s1 + other._s1
         out._s2 = self._s2 + other._s2
-        out._s3 = self._s3 + other._s3
-        out._s4 = self._s4 + other._s4
-        if self._n == 0:
-            out._max, out._min = other._max, other._min
-        elif other._n == 0:
-            out._max, out._min = self._max, self._min
-        else:
-            out._max = max(self._max, other._max)
-            out._min = min(self._min, other._min)
+        out._max = max(self._max, other._max)
+        out._min = min(self._min, other._min)
+        out._pivot = self._pivot
+        # Re-centre the other side's sums on this pivot: its samples sit
+        # at d + t about it, t = other pivot - this pivot (binomial sums).
+        t, m = other._pivot - self._pivot, other._n
+        d1, d2, d3, d4 = other._d1, other._d2, other._d3, other._d4
+        out._d1 = self._d1 + (d1 + m * t)
+        out._d2 = self._d2 + (d2 + 2 * t * d1 + m * t**2)
+        out._d3 = self._d3 + (d3 + 3 * t * d2 + 3 * t**2 * d1 + m * t**3)
+        out._d4 = self._d4 + (
+            d4 + 4 * t * d3 + 6 * t**2 * d2 + 4 * t**3 * d1 + m * t**4
+        )
         return out
 
     def finalize(self) -> Dict[str, float]:
@@ -147,7 +168,8 @@ class StreamingMoments:
 
         Uses the population-moment conventions of
         :mod:`repro.dsp.features`: ``var = E[x^2] - E[x]^2``,
-        ``skew = m3 / m2^1.5``, ``kurt = m4 / m2^2``.
+        ``skew = m3 / m2^1.5``, ``kurt = m4 / m2^2``, with the central
+        moments ``m2..m4`` expanded from the pivot sums.
         """
         if self._n == 0:
             # Refuse rather than leak the ±inf extrema sentinels (and a
@@ -156,12 +178,13 @@ class StreamingMoments:
         n = self._n
         mean = self._s1 / n
         e2 = self._s2 / n
-        e3 = self._s3 / n
-        e4 = self._s4 / n
         var = e2 - mean * mean
-        # Central moments from raw moments (binomial expansion).
-        m3 = e3 - 3 * mean * e2 + 2 * mean**3
-        m4 = e4 - 4 * mean * e3 + 6 * mean**2 * e2 - 3 * mean**4
+        # Central moments from the pivot moments (binomial expansion).
+        u = self._d1 / n
+        q2, q3, q4 = self._d2 / n, self._d3 / n, self._d4 / n
+        m2 = q2 - u * u
+        m3 = q3 - 3 * u * q2 + 2 * u**3
+        m4 = q4 - 4 * u * q3 + 6 * u**2 * q2 - 3 * u**4
         # Degeneracy guard: the raw-sum formulation (what the hardware
         # datapath computes) cancels catastrophically on (near-)constant
         # inputs, leaving O(n * eps * E[x^2]) garbage in `var`.  Treat any
@@ -172,8 +195,8 @@ class StreamingMoments:
             skew = 0.0
             kurt = 0.0
         else:
-            skew = m3 / var**1.5
-            kurt = m4 / var**2
+            skew = m3 / m2**1.5
+            kurt = m4 / m2**2
         return {
             "max": self._max,
             "min": self._min,

@@ -480,7 +480,7 @@ def bench_wire(
             last=(index % n_chunks) == n_chunks - 1,
         )
         batch = decode_frames(matrix, config, lengths)
-        decoded = decode_values(b"".join(batch.payloads))  # type: ignore[arg-type]
+        decoded = decode_values(batch.concat_payloads(np.arange(len(batch))))
         return matrix, lengths, decoded.reshape(n_payloads, values_per_payload)
 
     scalar_decoded = run_scalar()

@@ -49,6 +49,7 @@ honest way to report CRC protection.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -541,6 +542,35 @@ def encode_frames(
     return matrix, total_lens
 
 
+class _PayloadRows(abc.Sequence):
+    """Payloads held as one zero-padded ``(n, max_len)`` byte matrix.
+
+    Row ``i`` owns ``matrix[i, :lengths[i]]``; ``self[i]`` returns those
+    bytes, or ``None`` where ``present[i]`` is false (length 0).
+    """
+
+    def __init__(self, matrix: np.ndarray, lengths: np.ndarray,
+                 present: np.ndarray) -> None:
+        self.matrix = matrix
+        self.lengths = lengths
+        self.present = present
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __getitem__(self, i):
+        if not self.present[i]:
+            return None
+        return self.matrix[i, : self.lengths[i]].tobytes()
+
+    def concat(self, rows: np.ndarray) -> bytes:
+        """``b"".join`` of rows ``rows``' payloads, in that order, taken
+        with one boolean-mask gather; absent payloads add nothing."""
+        picked = self.matrix[rows]
+        in_payload = np.arange(picked.shape[1]) < self.lengths[rows][:, None]
+        return picked[in_payload].tobytes()
+
+
 @dataclass
 class FrameBatch:
     """Per-frame verdicts and decoded fields from :func:`decode_frames`.
@@ -549,17 +579,40 @@ class FrameBatch:
     ``ok[i]`` with identical seq/payload/last fields, or ``not ok[i]``
     with ``errors[i]`` carrying the exact :class:`IntegrityError`
     message the scalar decoder would have raised.
+
+    ``payloads[i]`` is frame ``i``'s payload as ``bytes`` (``None`` when
+    rejected), read on demand from one padded byte matrix: a batch makes
+    no per-frame ``bytes``.  :attr:`payload_lengths` and
+    :meth:`concat_payloads` read that matrix in bulk.  A list of byte
+    strings passed as ``payloads`` is packed into such a matrix.
     """
 
     ok: np.ndarray
     seq: np.ndarray
     last: np.ndarray
     crc_protected: np.ndarray
-    payloads: List[Optional[bytes]]
+    payloads: Sequence[Optional[bytes]]
     errors: List[Optional[str]]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.payloads, _PayloadRows):
+            matrix, lengths = pack_byte_rows([p or b"" for p in self.payloads])
+            present = np.array([p is not None for p in self.payloads], dtype=bool)
+            self.payloads = _PayloadRows(matrix, lengths, present)
 
     def __len__(self) -> int:
         return len(self.payloads)
+
+    @property
+    def payload_lengths(self) -> np.ndarray:
+        """Payload bytes per frame (0 for a rejected frame), int64."""
+        return self.payloads.lengths
+
+    def concat_payloads(self, rows: np.ndarray) -> bytes:
+        """The payloads of frames ``rows`` joined in the given order —
+        ``b"".join(payloads[i] for i in rows)`` without a per-frame loop.
+        Rejected frames contribute nothing."""
+        return self.payloads.concat(np.asarray(rows, dtype=np.int64))
 
     def frame(self, i: int) -> Frame:
         """Frame ``i`` as a scalar :class:`Frame`; raises its
@@ -643,10 +696,13 @@ def decode_frames(
         stated = (hi << 8) | lo
         err = np.where((err == 0) & (stated != computed), 5, err)
     ok = err == 0
-    payloads: List[Optional[bytes]] = [None] * n
+    payload_lengths = np.where(ok, length, 0)
+    width = int(payload_lengths.max()) if n else 0
+    # A copy, so the batch never aliases a caller's frame buffer.
+    payloads = _PayloadRows(
+        matrix[:, HEADER_BYTES : HEADER_BYTES + width].copy(), payload_lengths, ok
+    )
     errors: List[Optional[str]] = [None] * n
-    for i in np.nonzero(ok)[0]:
-        payloads[i] = matrix[i, HEADER_BYTES : HEADER_BYTES + int(length[i])].tobytes()
     for i in np.nonzero(~ok)[0]:
         code = int(err[i])
         if code == 1:

@@ -46,12 +46,11 @@ Equivalence contract
 reference — Python ring buffers, per-sample appends, one
 :class:`~repro.dsp.streaming.StreamingMoments` /
 :class:`~repro.dsp.streaming.CrossingCounter` pass per window.  The SoA
-engine replicates its arithmetic exactly (window sums via a zero-seeded
-row ``cumsum``, the bit-identity trick behind ``StreamingMoments.
-extend``), so :func:`stream_results_identical` asserts **bit-identical**
-per-window scores and decisions, NaN-aware, plus equal drop/late
-counters — the contract the ``streaming`` perf stage and CI gate hold
-the fast path to.
+engine replicates its arithmetic exactly (window sums via a sequential
+row ``cumsum`` whose ``+ 0.0`` restores the zero seed's sign), so
+:func:`stream_results_identical` asserts **bit-identical** per-window
+scores and decisions, NaN-aware, plus equal drop/late counters — the
+contract the ``streaming`` perf stage and CI gate hold the fast path to.
 """
 
 from __future__ import annotations
@@ -60,7 +59,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
+from repro.dsp.features import crossing_counts
 from repro.errors import ConfigurationError
 
 #: Backpressure policies accepted by :class:`StreamPool`.
@@ -202,10 +203,12 @@ class MomentsBackend:
     :class:`~repro.dsp.streaming.CrossingCounter` one sample at a time —
     the true pre-SoA streaming shape.  The batched path
     (:meth:`score_matrix`) computes the same raw power sums for every
-    window row with a zero-seeded ``cumsum`` (the bit-identity
-    construction of ``StreamingMoments.extend``), the same degenerate-
-    variance guard, and the same crossing sign-propagation — so scores
-    and decisions are bit-identical to the scalar path.
+    window row with a sequential row ``cumsum`` (plus ``+ 0.0`` for the
+    zero seed's sign, so an all-``-0.0`` row sums to ``+0.0`` as in the
+    loop), the same degenerate-variance guard, and counts crossings with
+    :func:`~repro.dsp.features.crossing_counts`, whose zero-carry rule is
+    the counter's — so scores and decisions are bit-identical to the
+    scalar path, the sign of a zero score included.
 
     The decision rule is a fixed linear fusion of ``mean``, ``std``,
     ``max - min`` and the crossing count: ``decision = 1`` iff the fused
@@ -246,15 +249,14 @@ class MomentsBackend:
         self, matrix: np.ndarray, levels: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Score a ``(n_windows, length)`` batch in one vectorised pass."""
-        rows, n = matrix.shape
-        zero = np.zeros((rows, 1))
-        # Zero-seeded sequential row sums: cumsum reproduces the scalar
-        # update loop's accumulation order bit-for-bit (the same trick
-        # StreamingMoments.extend pins in its tests).
-        s1 = np.cumsum(np.concatenate([zero, matrix], axis=1), axis=1)[:, -1]
-        s2 = np.cumsum(
-            np.concatenate([zero, matrix * matrix], axis=1), axis=1
-        )[:, -1]
+        n = matrix.shape[1]
+        # Row cumsums add in the scalar update loop's order.  The loop
+        # starts from +0.0, so an all-(-0.0) row sums to +0.0 there; `+ 0.0`
+        # maps the cumsum's -0.0 to it and leaves every other sum as is.
+        # Squares are never -0.0, so s2 needs no such step.
+        acc = np.cumsum(matrix, axis=1)
+        s1 = acc[:, -1] + 0.0
+        s2 = np.cumsum(np.multiply(matrix, matrix, out=acc), axis=1, out=acc)[:, -1]
         mean = s1 / n
         e2 = s2 / n
         var = e2 - mean * mean
@@ -264,16 +266,7 @@ class MomentsBackend:
         std = np.sqrt(np.maximum(var, 0.0))
         mx = matrix.max(axis=1)
         mn = matrix.min(axis=1)
-        x = matrix - levels[:, None]
-        raw = np.where(x > 0, 1, np.where(x < 0, -1, 0))
-        nonzero_at = np.where(raw != 0, np.arange(n), -1)
-        last_nonzero = np.maximum.accumulate(nonzero_at, axis=1)
-        signs = np.where(
-            last_nonzero >= 0,
-            np.take_along_axis(raw, np.clip(last_nonzero, 0, None), axis=1),
-            1,
-        )
-        crossings = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1)
+        crossings = crossing_counts(matrix - levels[:, None])
         score = _fuse_score(self, mean, std, mx - mn, crossings)
         return score, (score > 0.0).astype(np.int64)
 
@@ -464,10 +457,11 @@ def _ceil_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class StreamPool:
     """The struct-of-arrays multi-stream pool.
 
-    One ``(n_streams, capacity)`` ring block plus per-stream cursor and
-    accounting columns; appends are vectorised, and :meth:`tick` gathers
-    *all* due windows across *all* streams into one matrix per distinct
-    window length for one batched scoring call each.
+    One ``(n_streams, capacity + max_window - 1)`` ring block (the last
+    ``max_window - 1`` columns mirror the first, see :meth:`_write`) plus
+    per-stream cursor and accounting columns; appends are vectorised, and
+    :meth:`tick` gathers *all* due windows across *all* streams into one
+    matrix per distinct window length for one batched scoring call each.
 
     Args:
         spec: The stream population layout.
@@ -493,7 +487,10 @@ class StreamPool:
         self.backend = backend
         self.policy = policy
         n = spec.n_streams
-        self._ring = np.zeros((n, spec.capacity), dtype=np.float64)
+        # Mirror slots past `capacity`, so every window is one contiguous
+        # run of its row.
+        self._mirror = int(spec.windows.max()) - 1
+        self._ring = np.zeros((n, spec.capacity + self._mirror), dtype=np.float64)
         self.written = np.zeros(n, dtype=np.int64)
         self.emitted = np.zeros(n, dtype=np.int64)
         self.accepted_samples = np.zeros(n, dtype=np.int64)
@@ -556,14 +553,10 @@ class StreamPool:
             return 0
         c = self.spec.capacity
         n_new = int(vals.size)
-        if n_new >= c:
-            # Only the freshest `capacity` samples survive the wrap.
-            self._ring[stream, :] = np.roll(
-                vals[-c:], int(self.written[stream] + n_new - c) % c
-            )
-        else:
-            pos = (int(self.written[stream]) + np.arange(n_new)) % c
-            self._ring[stream, pos] = vals
+        # Only the freshest `capacity` samples survive the wrap.
+        kept = min(n_new, c)
+        pos = (int(self.written[stream]) + n_new - kept + np.arange(kept)) % c
+        self._write(np.full(kept, stream), pos, vals[-kept:])
         self.written[stream] += n_new
         self.accepted_samples[stream] += n_new
         if self.policy == "skip_stale":
@@ -596,7 +589,7 @@ class StreamPool:
             counts = np.full(self.n_streams, k, dtype=np.int64)
             return int(self.extend_ragged(counts, x.ravel()).sum())
         cols = (self.written[:, None] + np.arange(k)[None, :]) % c
-        np.put_along_axis(self._ring, cols, x, axis=1)
+        self._write(np.repeat(np.arange(self.n_streams), k), cols.ravel(), x.ravel())
         self.written += k
         self.accepted_samples += k
         if self.policy == "skip_stale":
@@ -649,12 +642,20 @@ class StreamPool:
         rank = np.arange(x.size) - np.repeat(np.cumsum(offered) - offered, offered)
         keep = (rank < taken[owner]) & (rank >= taken[owner] - c)
         owner, rank = owner[keep], rank[keep]
-        self._ring[owner, (self.written[owner] + rank) % c] = x[keep]
+        self._write(owner, (self.written[owner] + rank) % c, x[keep])
         self.written += taken
         self.accepted_samples += taken
         if self.policy == "skip_stale":
             self._advance_stale()
         return taken
+
+    def _write(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+        """Store ``values`` at ring slots ``(rows, cols)``, ``cols`` in
+        ``[0, capacity)``, and at the mirror copy of each slot below
+        ``m``: the ring then holds ``_ring[:, c:] == _ring[:, :m]``."""
+        self._ring[rows, cols] = values
+        low = cols < self._mirror
+        self._ring[rows[low], cols[low] + self.spec.capacity] = values[low]
 
     def _advance_stale(self) -> None:
         """:meth:`_skip_stale` for every stream at once."""
@@ -682,7 +683,10 @@ class StreamPool:
 
         One matrix gather plus one batched backend call per distinct due
         window length; rows come back in canonical stream-major,
-        window-index-minor order.
+        window-index-minor order.  Thanks to the ring's mirror, a window
+        starting at ring slot ``p`` is the contiguous run ``[p, p +
+        length)`` of its stream's row, so the gather takes whole rows of a
+        sliding-window view and builds no index matrix.
         """
         counts = self.due_counts()
         total = int(counts.sum())
@@ -701,11 +705,11 @@ class StreamPool:
         starts = kidx * hops
         scores = np.zeros(total, dtype=np.float64)
         decisions = np.zeros(total, dtype=np.int64)
-        c = self.spec.capacity
+        slots = starts % self.spec.capacity
         for length in np.unique(lengths):
             rows = np.nonzero(lengths == length)[0]
-            cols = (starts[rows, None] + np.arange(int(length))[None, :]) % c
-            matrix = self._ring[sidx[rows, None], cols]
+            view = sliding_window_view(self._ring, int(length), axis=1)
+            matrix = view[sidx[rows], slots[rows]]
             sc, dec = self.backend.score_matrix(
                 matrix, self.spec.levels[sidx[rows]]
             )

@@ -7,7 +7,9 @@ it decodes frame batches with the vectorised batch codec
 (:func:`~repro.hw.framing.decode_frames`), enforces per-stream sequence
 discipline in the modular space of :data:`~repro.hw.framing.SEQ_MODULUS`
 (duplicates discarded, gaps counted with their implied missing frames),
-deserialises every accepted payload in one call, and writes them with
+gathers every accepted payload from the batch's byte matrix with one
+mask (:meth:`~repro.hw.framing.FrameBatch.concat_payloads`),
+deserialises them in one call, and writes them with
 one :meth:`~repro.stream.engine.StreamPool.extend_ragged` — where the
 pool's own non-finite rejection and backpressure accounting take over.
 
@@ -87,7 +89,9 @@ class FrameIngestor:
         codec.  Verified frames are stable-sorted by stream and the
         sequence state machine runs vectorised across streams, one round
         per frame position within a stream; every accepted payload is
-        then deserialised with one :func:`decode_values` call and written
+        then gathered with one
+        :meth:`~repro.hw.framing.FrameBatch.concat_payloads`, deserialised
+        with one :func:`decode_values` call and written
         with one :meth:`~repro.stream.engine.StreamPool.extend_ragged`.
 
         Per frame the checks run in a fixed order: corrupt (failed
@@ -120,9 +124,7 @@ class FrameIngestor:
         live = live[np.argsort(sids[live], kind="stable")]
         s = sids[live]
         seq = batch.seq[live].astype(np.int64)
-        nbytes = np.fromiter(
-            (len(batch.payloads[i]) for i in live), dtype=np.int64, count=live.size
-        )
+        nbytes = batch.payload_lengths[live]
         per_stream = np.bincount(s, minlength=n)
         position = np.arange(live.size) - np.repeat(
             np.cumsum(per_stream) - per_stream, per_stream
@@ -161,8 +163,7 @@ class FrameIngestor:
         self.payloads_ok += np.bincount(
             s[accept & batch.last[live]], minlength=n
         )
-        taken = live[accept]
-        values = decode_values(b"".join([batch.payloads[i] for i in taken]), self.fmt)
+        values = decode_values(batch.concat_payloads(live[accept]), self.fmt)
         counts = np.bincount(
             s[accept], weights=nbytes[accept] // width, minlength=n
         ).astype(np.int64)
