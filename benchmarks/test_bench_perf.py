@@ -112,7 +112,7 @@ def test_fleet_speedup_floor(perf_report):
     hardware (unlike the retired absolute networks-per-second floor).
     The equivalence flag asserts full bit-identity — counters, energies,
     latencies, NaN-sentinel availability and final channel states — via
-    ``fleet_results_identical``, under the shared per-network RNG
+    ``repro.exact.identical``, under the shared per-network RNG
     draw-order contract.  Full mode sizes the fleet at 10^4 devices.
     """
     case = perf_report["cases"].get("fleet")
@@ -130,7 +130,7 @@ def test_streaming_speedup_floor(perf_report):
     Full mode runs >= 1000 concurrent streams on a heterogeneous
     window/hop grid.  The equivalence flag asserts full bit-identity —
     per-window scores, decisions, window sequencing and every
-    backpressure/rejection counter — via ``stream_results_identical``,
+    backpressure/rejection counter — via ``repro.exact.identical``,
     and the case carries p50/p99 per-window tick-latency extras in the
     written report.
     """

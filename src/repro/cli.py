@@ -26,7 +26,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.pipeline import TrainingConfig
-from repro.errors import ConfigurationError, XProError
+from repro.errors import XProError
 from repro.eval.context import DEFAULT_EVAL_SEGMENTS, ExperimentContext
 from repro.eval import experiments
 from repro.eval.tables import format_table
@@ -120,13 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=11,
         help="campaign seed (default: %(default)s)",
     )
-    res.add_argument(
-        "--scalar-wire", action="store_true",
-        help=(
-            "force the scalar event-by-event campaign runner instead of "
-            "the vectorized fast path (bit-identical, only slower)"
-        ),
-    )
+    _add_scalar_wire_arg(res)
     _add_scale_args(res)
 
     integ = sub.add_parser(
@@ -150,13 +144,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--corruption-rate", type=float, default=0.05,
         help="per-frame bit-flip probability (default: %(default)s)",
     )
-    integ.add_argument(
-        "--scalar-wire", action="store_true",
-        help=(
-            "force the scalar event-by-event campaign runner instead of "
-            "the vectorized fast path (bit-identical, only slower)"
-        ),
-    )
+    _add_scalar_wire_arg(integ)
     _add_scale_args(integ)
 
     perf = sub.add_parser(
@@ -170,18 +158,6 @@ def _build_parser() -> argparse.ArgumentParser:
     perf.add_argument(
         "--fast", action="store_true",
         help="CI smoke scale: single repeat, smaller fleet and stream pool",
-    )
-    perf.add_argument(
-        "--no-fleet", action="store_true",
-        help="skip the (slower) parallel-fleet comparison",
-    )
-    perf.add_argument(
-        "--no-streaming", action="store_true",
-        help="skip the (scalar-twin-bound) multi-stream ingestion comparison",
-    )
-    perf.add_argument(
-        "--no-training", action="store_true",
-        help="skip the (reference-SMO-bound, slowest) subspace training comparison",
     )
     perf.add_argument(
         "--stage", action="append", metavar="NAME", default=None,
@@ -254,13 +230,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threshold", type=float, default=None,
         help="allowed fractional worsening per axis for the gate (default: 0.15)",
     )
-    chaos.add_argument(
-        "--scalar-wire", action="store_true",
-        help=(
-            "force the scalar event-by-event campaign runner instead of "
-            "the vectorized fast path (bit-identical, only slower)"
-        ),
-    )
+    _add_scalar_wire_arg(chaos)
     chaos.add_argument(
         "--checkpoint", metavar="FILE", default=None,
         help=(
@@ -336,13 +306,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", metavar="FILE", default=None,
         help="write the machine-readable summary (BENCH_supervision schema)",
     )
-    sup.add_argument(
-        "--scalar-wire", action="store_true",
-        help=(
-            "force the scalar event-by-event campaign runner instead of "
-            "the vectorized fast path (bit-identical, only slower)"
-        ),
-    )
+    _add_scalar_wire_arg(sup)
     _add_scale_args(sup)
 
     insp = sub.add_parser(
@@ -368,6 +332,16 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=100,
         help="random-subspace draws (default: %(default)s, the paper protocol)",
+    )
+
+
+def _add_scalar_wire_arg(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--scalar-wire", action="store_true",
+        help=(
+            "force the scalar event-by-event campaign runner instead of "
+            "the vectorized fast path (bit-identical, only slower)"
+        ),
     )
 
 
@@ -651,28 +625,8 @@ def _cmd_perf(args: argparse.Namespace) -> str:
         write_perf_report,
     )
 
-    if args.no_fleet and args.stage and "fleet" in args.stage:
-        raise ConfigurationError(
-            "--no-fleet conflicts with --stage fleet: the fleet stage is "
-            "both requested and excluded"
-        )
-    if args.no_streaming and args.stage and "streaming" in args.stage:
-        raise ConfigurationError(
-            "--no-streaming conflicts with --stage streaming: the streaming "
-            "stage is both requested and excluded"
-        )
-    if args.no_training and args.stage and "training" in args.stage:
-        raise ConfigurationError(
-            "--no-training conflicts with --stage training: the training "
-            "stage is both requested and excluded"
-        )
     report = collect_perf_report(
-        fast=args.fast,
-        repeats=args.repeats,
-        include_fleet=not args.no_fleet,
-        include_streaming=not args.no_streaming,
-        include_training=not args.no_training,
-        stages=args.stage,
+        fast=args.fast, repeats=args.repeats, stages=args.stage
     )
     lines = [
         format_table(

@@ -43,9 +43,9 @@ from repro.sim.chaos import (
     assert_replay,
     build_bundle,
     chaos_search,
-    report_digest,
     save_bundle,
 )
+from repro.exact import digest
 from repro.sim.evaluate import evaluate_partition
 from repro.sim.faults import IntegrityConfig
 from repro.sim.lifetime import MODALITY_SAMPLE_RATES, event_period_s
@@ -218,7 +218,7 @@ def chaos_eval(
             scenario=scenario,
             score=judge.score(report),
             report=report,
-            report_digest=report_digest(report),
+            digest=digest(report),
             generation=-1,
         )
         fixed_outcomes[label] = outcome
@@ -288,7 +288,7 @@ def chaos_eval(
         "worst": {
             **_outcome_row("worst", worst),
             "scenario": worst.scenario.to_dict(),
-            "report_digest": worst.report_digest,
+            "digest": worst.digest,
         },
         "frontier": [
             _outcome_row("frontier", o) for o in result.frontier

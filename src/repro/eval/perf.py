@@ -31,7 +31,7 @@ reference and the vectorised batch path — for each stage of the pipeline:
   (:func:`~repro.sim.fleetsoa.simulate_fleet_soa`, one ndarray per state
   field across 10^4 devices, block channel draws); its equivalence flag
   asserts the two paths are **bit-identical** (NaN-aware, same RNG draw
-  order) via :func:`~repro.sim.fleetsoa.fleet_results_identical`;
+  order) via :func:`repro.exact.identical`;
 - **streaming**: live multi-stream ingestion — the per-stream scalar twin
   (:func:`~repro.stream.twin.run_twin`, Python ring buffers, per-sample
   appends, one :class:`~repro.dsp.streaming.StreamingMoments` /
@@ -40,7 +40,7 @@ reference and the vectorised batch path — for each stage of the pipeline:
   one ring block across ≥1000 concurrent streams, one batched scoring
   call per tick); its equivalence flag asserts **bit-identical**
   per-window scores, decisions and backpressure counters via
-  :func:`~repro.stream.engine.stream_results_identical`, and the case
+  :func:`repro.exact.identical` in canonical window order, and the case
   carries per-window p50/p99 tick latency extras;
 - **training**: the §4.4 subspace training protocol (``n_draws`` random
   subspaces × 10-fold CV each, final refits, member selection, fusion)
@@ -80,6 +80,7 @@ from repro.core.pipeline import TrainingConfig, train_analytic_engine
 from repro.dsp.batch import batch_extract_matrix
 from repro.dsp.wavelet import dwt_multilevel, dwt_multilevel_batch
 from repro.errors import ConfigurationError, PerfRegressionError
+from repro.exact import identical
 from repro.signals.datasets import load_case
 
 #: Report schema identifier (bump on breaking layout changes).
@@ -321,7 +322,6 @@ def bench_generator(
     from repro.hw.aggregator import AggregatorCPU
     from repro.hw.energy import EnergyLibrary
     from repro.hw.wireless import WirelessLink
-    from repro.sim.evaluate import metrics_identical
 
     if n_limits < 1:
         raise ConfigurationError("n_limits must be positive")
@@ -364,7 +364,7 @@ def bench_generator(
     cold_results = run_cold()
     warm_results = run_warm()
     equivalent = all(
-        c.partition == w.partition and metrics_identical(c.metrics, w.metrics)
+        c.partition == w.partition and identical(c.metrics, w.metrics)
         for c, w in zip(cold_results, warm_results)
     )
     scalar = _best_wall_s(run_cold, repeats)
@@ -437,7 +437,6 @@ def bench_wire(
         FaultCampaign,
         IntegrityConfig,
         PayloadCorruption,
-        reports_identical,
     )
     from repro.sim.simulator import CrossEndSimulator
 
@@ -509,7 +508,7 @@ def bench_wire(
     simulator = CrossEndSimulator(_bench_metrics(), period_s=0.25, seed=seed)
     integrity = IntegrityConfig(framing=config, values_per_payload=8)
     arq = ARQConfig(max_retries=3, timeout_s=2e-3)
-    campaign_ok = reports_identical(
+    campaign_ok = identical(
         campaign.run(simulator, 200, arq=arq, integrity=integrity, fast=False),
         campaign.run(simulator, 200, arq=arq, integrity=integrity, fast=True),
     )
@@ -546,14 +545,13 @@ def bench_fleet(
     ``equivalent`` asserts the full :class:`~repro.sim.fleetsoa.
     FleetResult` columns — counters, energies, latencies, availability
     (NaN sentinels included) and final channel states — are bit-identical
-    via :func:`~repro.sim.fleetsoa.fleet_results_identical`.  Both
+    via :func:`repro.exact.identical`.  Both
     timings run on one core, so the ratio is machine-portable and gated
     (``fleet.speedup`` in :data:`TRACKED_METRICS`).
     """
     from repro.sim.fleetsoa import (
         FleetConfig,
         FleetSpec,
-        fleet_results_identical,
         simulate_fleet_scalar,
         simulate_fleet_soa,
     )
@@ -570,7 +568,7 @@ def bench_fleet(
         protocol="mixed",
         config=FleetConfig(events_per_round=4, max_retries=2, seed=seed),
     )
-    equivalent = fleet_results_identical(
+    equivalent = identical(
         simulate_fleet_scalar(spec, n_rounds),
         simulate_fleet_soa(spec, n_rounds),
     )
@@ -606,8 +604,8 @@ def bench_streaming(
     ``equivalent`` asserts the full :class:`~repro.stream.engine.
     StreamRunResult` — per-window scores, decisions, window sequencing
     and every backpressure/rejection counter — is **bit-identical**
-    (NaN-aware) via :func:`~repro.stream.engine.
-    stream_results_identical`.  The case's extras carry p50/p99
+    (NaN-aware, in canonical window order) via
+    :func:`repro.exact.identical`.  The case's extras carry p50/p99
     per-window latency in milliseconds from an instrumented SoA run:
     every window emitted by a tick is charged that tick's wall time
     (ingest + gather + batched scoring), the serving-latency view of the
@@ -621,7 +619,6 @@ def bench_streaming(
         StreamSpec,
         run_stream_pool,
         run_twin,
-        stream_results_identical,
     )
 
     if n_streams < 1 or n_ticks < 1 or tick_samples < 1:
@@ -642,7 +639,7 @@ def bench_streaming(
 
     twin_result = run_twin(spec, backend, samples, tick_samples)
     soa_result = run_stream_pool(spec, backend, samples, tick_samples)
-    equivalent = stream_results_identical(twin_result, soa_result)
+    equivalent = identical(twin_result.canonical(), soa_result.canonical())
 
     # Instrumented SoA pass: per-tick wall time, charged to every window
     # that tick emitted — the per-window serving latency.
@@ -671,30 +668,27 @@ def bench_streaming(
     )
 
 
-def _ensembles_identical(ref, fast, X: np.ndarray) -> bool:
-    """Decision identity between two trained subspace ensembles.
+def _trained_state(ensemble, X: np.ndarray) -> List[Any]:
+    """What the training twin guarantees bit-identical, for :func:`identical`.
 
-    Checks the full chain the training twin guarantees: same retained
-    subsets in the same order, bitwise-equal dual coefficients, biases,
-    support rows and validation accuracies per member, the same
-    ``used_feature_indices`` union, and identical predictions on ``X``.
+    The retained subsets in order; per member the dual coefficients,
+    bias, support rows and validation accuracy; the
+    ``used_feature_indices`` union; and the predictions on ``X``.
     """
-    if len(ref.members) != len(fast.members):
-        return False
-    for ma, mb in zip(ref.members, fast.members):
-        if ma.feature_indices != mb.feature_indices:
-            return False
-        ca, cb = ma.classifier, mb.classifier
-        if not (
-            np.array_equal(ca.dual_coef, cb.dual_coef)
-            and ca.bias == cb.bias
-            and np.array_equal(ca.support_indices, cb.support_indices)
-            and ma.validation_accuracy == mb.validation_accuracy
-        ):
-            return False
-    if ref.used_feature_indices() != fast.used_feature_indices():
-        return False
-    return bool(np.array_equal(ref.predict(X), fast.predict(X)))
+    return [
+        [
+            (
+                m.feature_indices,
+                m.classifier.dual_coef,
+                m.classifier.bias,
+                m.classifier.support_indices,
+                m.validation_accuracy,
+            )
+            for m in ensemble.members
+        ],
+        ensemble.used_feature_indices(),
+        ensemble.predict(X),
+    ]
 
 
 def _training_case_data(symbol: str, n_segments: int):
@@ -734,7 +728,7 @@ def bench_training(
       the cached-error screened SMO.
 
     ``equivalent`` asserts decision-identical ensembles (see
-    :func:`_ensembles_identical`) on the timed pair and — when
+    :func:`_trained_state`) on the timed pair and — when
     ``check_all_cases`` is set — on every Table-1 case at a reduced
     scale, so a timing run is also a six-case twin check.  Extras carry
     the protocol shape (``n_rows``, ``n_draws``, ``cv_folds``,
@@ -778,7 +772,9 @@ def bench_training(
     batch = _best_wall_s(
         lambda: fitted.__setitem__("fast", make().fit(X, y)), repeats
     )
-    equivalent = _ensembles_identical(fitted["ref"], fitted["fast"], X)
+    equivalent = identical(
+        _trained_state(fitted["ref"], X), _trained_state(fitted["fast"], X)
+    )
 
     cases_checked = 1
     if check_all_cases:
@@ -798,10 +794,9 @@ def bench_training(
                     cv_folds=3,
                 )
 
-            equivalent = equivalent and _ensembles_identical(
-                make_small().fit(Xc, yc, fast=False),
-                make_small().fit(Xc, yc),
-                Xc,
+            equivalent = equivalent and identical(
+                _trained_state(make_small().fit(Xc, yc, fast=False), Xc),
+                _trained_state(make_small().fit(Xc, yc), Xc),
             )
             cases_checked += 1
 
@@ -817,9 +812,6 @@ def bench_training(
 def collect_perf_report(
     fast: bool = False,
     repeats: int = 3,
-    include_fleet: bool = True,
-    include_streaming: bool = True,
-    include_training: bool = True,
     stages: Sequence[str] | None = None,
 ) -> Dict[str, Any]:
     """Run every benchmark and assemble the machine-readable report.
@@ -832,12 +824,6 @@ def collect_perf_report(
         fast: CI smoke scale — single repeat, a smaller fleet and a
             smaller stream population.
         repeats: Best-of repeats per timed path (forced to 1 in fast mode).
-        include_fleet: Whether to run the (slower, machine-dependent)
-            fleet sweep comparison.
-        include_streaming: Whether to run the (scalar-twin-bound)
-            multi-stream ingestion comparison.
-        include_training: Whether to run the (reference-SMO-bound, by far
-            the slowest full-mode stage) subspace training comparison.
         stages: Optional subset of :data:`ALL_STAGES` to run (``None``
             runs them all).  Subset reports time faster but only carry
             the selected tracked metrics, so they serve smoke checks —
@@ -870,7 +856,7 @@ def collect_perf_report(
         cases.append(bench_generator(n_limits=6, repeats=repeats))
     if wanted("wire"):
         cases.append(bench_wire(n_payloads=512, repeats=repeats))
-    if include_fleet and wanted("fleet"):
+    if wanted("fleet"):
         cases.append(
             bench_fleet(
                 n_networks=256 if fast else 1250,
@@ -879,7 +865,7 @@ def collect_perf_report(
                 repeats=1,
             )
         )
-    if include_streaming and wanted("streaming"):
+    if wanted("streaming"):
         cases.append(
             bench_streaming(
                 n_streams=256 if fast else 1024,
@@ -892,7 +878,7 @@ def collect_perf_report(
                 repeats=3,
             )
         )
-    if include_training and wanted("training"):
+    if wanted("training"):
         cases.append(
             bench_training(
                 n_segments=200,

@@ -35,11 +35,11 @@ from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
 from repro.errors import ConfigurationError, SupervisionGateError
 from repro.eval.context import ExperimentContext
 from repro.eval.resilience import DEFAULT_ARQ
+from repro.exact import digest
 from repro.graph.cuts import sensor_cut
 from repro.hw.arq import ARQConfig
 from repro.hw.wireless import WirelessLink
 from repro.sim.channel import GilbertElliottParams
-from repro.sim.chaos import report_digest
 from repro.sim.evaluate import evaluate_partition
 from repro.sim.faults import BurstLoss, FaultCampaign, LinkOutage
 from repro.sim.lifetime import MODALITY_SAMPLE_RATES, event_period_s
@@ -216,11 +216,11 @@ def _resume_block(
             except _InterruptedRun:
                 pass
             resumed = run(CampaignCheckpointer(path, every=every), True)
+            ref_digest, resumed_digest = digest(reference), digest(resumed)
             runners[runner] = {
-                "reference_digest": report_digest(reference),
-                "resumed_digest": report_digest(resumed),
-                "bit_identical": report_digest(reference)
-                == report_digest(resumed),
+                "reference_digest": ref_digest,
+                "resumed_digest": resumed_digest,
+                "bit_identical": ref_digest == resumed_digest,
             }
     cross = (
         runners["fast"]["reference_digest"]

@@ -44,10 +44,6 @@ from repro.ml.metrics import accuracy
 from repro.ml.svm import SVMClassifier
 from repro.ml.validation import kfold_indices, stratified_train_test_split
 
-#: Supported seed-derivation modes (see :class:`RandomSubspaceClassifier`).
-SEED_MODES = ("legacy", "spawn")
-
-
 def _sliced_scores(
     svm: SVMClassifier,
     full_gram: np.ndarray,
@@ -192,14 +188,6 @@ class RandomSubspaceClassifier:
             single held-out split — the exact §4.4 protocol, at k times
             the training cost.  The retained member is then refit on all
             training rows.
-        seed_mode: How per-draw SVM and fold-rng seeds derive from the
-            master seed.  ``"legacy"`` (default) keeps the historical
-            streams — member seed ``seed + draw``, fold seed ``seed +
-            31 * draw`` — which can collide across draws (draw 31's
-            member seed equals draw 1's fold seed).  ``"spawn"`` derives
-            both from independent ``np.random.SeedSequence(seed)``
-            children, making collisions statistically impossible at the
-            cost of changing every pinned stream.
     """
 
     def __init__(
@@ -212,7 +200,6 @@ class RandomSubspaceClassifier:
         C: float = 1.0,
         seed: int = 42,
         cv_folds: Optional[int] = None,
-        seed_mode: str = "legacy",
     ) -> None:
         if n_features <= 0:
             raise ConfigurationError("n_features must be positive")
@@ -230,31 +217,26 @@ class RandomSubspaceClassifier:
         self.keep_fraction = float(keep_fraction)
         if cv_folds is not None and cv_folds < 2:
             raise ConfigurationError("cv_folds must be >= 2 when given")
-        if seed_mode not in SEED_MODES:
-            raise ConfigurationError(
-                f"unknown seed_mode {seed_mode!r}; available: {SEED_MODES}"
-            )
         self.kernel_factory = kernel_factory or (lambda: RBFKernel(gamma=0.5))
         self.C = float(C)
         self.seed = int(seed)
         self.cv_folds = cv_folds
-        self.seed_mode = seed_mode
         self.members: List[SubspaceMember] = []
         self.fusion: Optional[WeightedVotingFusion] = None
 
     # -- training -----------------------------------------------------------
 
     def _draw_seeds(self) -> List[Tuple[int, int]]:
-        """Per-draw ``(member_seed, fold_seed)`` pairs (see ``seed_mode``)."""
-        if self.seed_mode == "legacy":
-            return [
-                (self.seed + draw, self.seed + 31 * draw)
-                for draw in range(self.n_draws)
-            ]
-        children = np.random.SeedSequence(self.seed).spawn(self.n_draws)
+        """Per-draw ``(member_seed, fold_seed)`` pairs.
+
+        Member seed ``seed + draw``, fold seed ``seed + 31 * draw``: the
+        historical streams every pinned accuracy and digest depends on.
+        They can collide across draws (draw 31's member seed equals draw
+        1's fold seed); that is kept for stream compatibility.
+        """
         return [
-            tuple(int(w) for w in child.generate_state(2, np.uint64))
-            for child in children
+            (self.seed + draw, self.seed + 31 * draw)
+            for draw in range(self.n_draws)
         ]
 
     def fit(
@@ -467,7 +449,6 @@ def build_subspace_classifier(
     n_features: int,
     params: Optional[Dict[str, object]] = None,
     seed: int = 0,
-    seed_mode: str = "legacy",
 ) -> RandomSubspaceClassifier:
     """Construct an ensemble from a plain parameter dictionary.
 
@@ -481,8 +462,6 @@ def build_subspace_classifier(
         n_features: Dimensionality of the full feature vector.
         params: Parameter overrides (plain values, e.g. one grid point).
         seed: Master ensemble seed.
-        seed_mode: Seed-derivation mode (see
-            :class:`RandomSubspaceClassifier`).
     """
     params = dict(params or {})
     unknown = set(params) - {
@@ -509,5 +488,4 @@ def build_subspace_classifier(
         C=float(params.get("C", 1.0)),
         seed=seed,
         cv_folds=None if cv_folds is None else int(cv_folds),
-        seed_mode=seed_mode,
     )

@@ -34,6 +34,7 @@ from repro.sim.chaos import (
     ChaosDriver,
     ChaosJudge,
     ChaosOutcome,
+    ChaosResumeState,
     ChaosRunConfig,
     ChaosScenario,
     ChaosScore,
@@ -44,25 +45,22 @@ from repro.sim.chaos import (
     ReplayResult,
     assert_replay,
     build_bundle,
-    canonical_json,
     chaos_search,
     load_bundle,
     pareto_worst,
     replay_bundle,
-    report_digest,
     save_bundle,
-    stable_digest,
 )
 from repro.sim.discharge import DischargeTrace, simulate_discharge
 from repro.sim.evaluate import (
     PartitionEvaluationCache,
     PartitionMetrics,
     evaluate_partition,
-    metrics_identical,
 )
 from repro.sim.faults import (
     AggregatorStall,
     BurstLoss,
+    CampaignResumeState,
     DecisionRecord,
     FaultCampaign,
     FaultModel,
@@ -77,7 +75,6 @@ from repro.sim.fleetsoa import (
     FleetResult,
     FleetSpec,
     concat_fleet_results,
-    fleet_results_identical,
     simulate_fleet_scalar,
     simulate_fleet_soa,
 )
@@ -101,9 +98,7 @@ from repro.sim.supervise import (
     HEALTH_STATES,
     BreakerConfig,
     CampaignCheckpointer,
-    CampaignResumeState,
     ChaosCheckpointer,
-    ChaosResumeState,
     DeviceHealth,
     FleetSupervisor,
     HealthPolicy,
@@ -165,17 +160,14 @@ __all__ = [
     "build_bundle",
     "burst_lengths",
     "concat_fleet_results",
-    "canonical_json",
     "chaos_search",
     "fault_signature",
     "load_bundle",
     "load_checkpoint",
     "pareto_worst",
     "replay_bundle",
-    "report_digest",
     "save_bundle",
     "save_checkpoint",
-    "stable_digest",
     "wasted_radio_j",
     "MultiNodeBSN",
     "ParallelConfig",
@@ -187,10 +179,8 @@ __all__ = [
     "ge_outcome_block",
     "evaluate_partition",
     "fleet_reports",
-    "fleet_results_identical",
     "fleet_simulations",
     "fleet_soa_rounds",
-    "metrics_identical",
     "parallel_map",
     "render_timeline",
     "run_campaigns",

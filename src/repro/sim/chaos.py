@@ -39,7 +39,6 @@ machine and either runner.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
@@ -50,6 +49,7 @@ import numpy as np
 
 from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
 from repro.errors import ConfigurationError, ReplayMismatchError, SimulationError
+from repro.exact import digest, stable_digest
 from repro.hw.arq import ARQConfig
 from repro.hw.framing import FramingConfig
 from repro.sim.channel import GilbertElliottParams
@@ -67,78 +67,10 @@ from repro.sim.faults import (
 from repro.sim.simulator import CrossEndSimulator
 
 #: Schema marker stamped into every replay bundle.
-BUNDLE_SCHEMA = "xpro-chaos-bundle-v1"
+BUNDLE_SCHEMA = "xpro-chaos-bundle-v2"
 
 #: Hex digits kept for scenario keys and bundle IDs (of 64 total).
 _ID_HEX = 16
-
-
-# -- canonical digests ---------------------------------------------------------
-
-
-def canonical_json(obj: Any) -> str:
-    """Canonical JSON text of a JSON-safe object.
-
-    Keys are sorted, separators are minimal and NaN/Infinity are rejected,
-    so equal objects always serialise to equal bytes.  Python floats are
-    rendered by ``repr`` (shortest round-trip form), which re-parses to
-    the identical IEEE-754 value — canonical text is therefore bit-exact
-    for float payloads too.
-    """
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def stable_digest(obj: Any) -> str:
-    """SHA-256 hex digest of :func:`canonical_json`.
-
-    The only sanctioned way to derive scenario keys and bundle IDs:
-    Python's builtin ``hash()`` is salted per interpreter run and must
-    never leak into persisted identifiers.
-    """
-    return hashlib.sha256(canonical_json(obj).encode("ascii")).hexdigest()
-
-
-def _float_token(value: float) -> str:
-    """Bit-exact text form of one float (NaN-safe, replay-stable)."""
-    return float(value).hex()
-
-
-def report_digest(report: ResilienceReport) -> str:
-    """Bit-exact SHA-256 digest of one :class:`ResilienceReport`.
-
-    Every record field and every counter enters the digest; floats are
-    hashed via ``float.hex()`` so NaN latencies (dropped events) and
-    denormal-scale energies are captured exactly.  Two reports share a
-    digest iff :func:`repro.sim.faults.reports_identical` holds.
-    """
-    payload = {
-        "records": [
-            [
-                r.index,
-                r.status,
-                r.tries,
-                _float_token(r.latency_s),
-                r.fallback,
-                r.staleness,
-                r.corrupted,
-            ]
-            for r in report.records
-        ],
-        "counters": {
-            "sensor_energy_j": _float_token(report.sensor_energy_j),
-            "aggregator_energy_j": _float_token(report.aggregator_energy_j),
-            "retry_energy_j": _float_token(report.retry_energy_j),
-            "retransmissions": report.retransmissions,
-            "fallback_events": report.fallback_events,
-            "deadline_misses": report.deadline_misses,
-            "frames_sent": report.frames_sent,
-            "frames_corrupted": report.frames_corrupted,
-            "corruptions_detected": report.corruptions_detected,
-            "corrupted_deliveries": report.corrupted_deliveries,
-            "integrity_discards": report.integrity_discards,
-        },
-    }
-    return stable_digest(payload)
 
 
 # -- the scenario space --------------------------------------------------------
@@ -504,6 +436,29 @@ def _metrics_to_dict(metrics: PartitionMetrics) -> Dict[str, Any]:
     return data
 
 
+def _arq_to_dict(arq: ARQConfig) -> Dict[str, Any]:
+    return {
+        "max_retries": arq.max_retries,
+        "timeout_s": float(arq.timeout_s),
+        "backoff_factor": float(arq.backoff_factor),
+        "jitter_fraction": float(arq.jitter_fraction),
+    }
+
+
+def _integrity_to_dict(
+    integrity: Optional[IntegrityConfig],
+) -> Optional[Dict[str, Any]]:
+    if integrity is None:
+        return None
+    return {
+        "max_payload_bytes": integrity.framing.max_payload_bytes,
+        "crc": integrity.framing.crc,
+        "version": integrity.framing.version,
+        "retransmit_on_corrupt": integrity.retransmit_on_corrupt,
+        "values_per_payload": integrity.values_per_payload,
+    }
+
+
 def _metrics_from_dict(data: Dict[str, Any]) -> PartitionMetrics:
     return PartitionMetrics(
         in_sensor=frozenset(data["in_sensor"]),
@@ -568,7 +523,7 @@ class ChaosRunConfig:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe canonical form (enters the bundle ID digest)."""
-        data: Dict[str, Any] = {
+        return {
             "metrics": _metrics_to_dict(self.metrics),
             "fallback_metrics": (
                 None
@@ -578,26 +533,12 @@ class ChaosRunConfig:
             "period_s": float(self.period_s),
             "jitter_sigma": float(self.jitter_sigma),
             "sim_seed": int(self.sim_seed),
-            "arq": {
-                "max_retries": self.arq.max_retries,
-                "timeout_s": float(self.arq.timeout_s),
-                "backoff_factor": float(self.arq.backoff_factor),
-                "jitter_fraction": float(self.arq.jitter_fraction),
-            },
+            "arq": _arq_to_dict(self.arq),
             "outage_threshold": int(self.outage_threshold),
             "recovery_hysteresis": int(self.recovery_hysteresis),
             "cache_max_staleness": self.cache_max_staleness,
-            "integrity": None,
+            "integrity": _integrity_to_dict(self.integrity),
         }
-        if self.integrity is not None:
-            data["integrity"] = {
-                "max_payload_bytes": self.integrity.framing.max_payload_bytes,
-                "crc": self.integrity.framing.crc,
-                "version": self.integrity.framing.version,
-                "retransmit_on_corrupt": self.integrity.retransmit_on_corrupt,
-                "values_per_payload": self.integrity.values_per_payload,
-            }
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ChaosRunConfig":
@@ -829,7 +770,7 @@ class ChaosOutcome:
     scenario: ChaosScenario
     score: ChaosScore
     report: Optional[ResilienceReport]
-    report_digest: Optional[str]
+    digest: Optional[str]
     generation: int
 
     def axes(self) -> Tuple[float, ...]:
@@ -860,6 +801,25 @@ def pareto_worst(outcomes: Sequence[ChaosOutcome]) -> List[ChaosOutcome]:
         frontier.append(candidate)
         seen.add(axes)
     return frontier
+
+
+@dataclass
+class ChaosResumeState:
+    """Mid-search state a checkpointed :func:`chaos_search` saves and resumes.
+
+    Attributes:
+        generation: Generation the search stopped inside.
+        position: Index of the next scenario of that generation.
+        population: The generation's full candidate population.
+        outcomes: Every outcome evaluated so far, in evaluation order.
+        evaluations: Campaign runs executed so far.
+    """
+
+    generation: int
+    position: int
+    population: List[ChaosScenario]
+    outcomes: List[ChaosOutcome]
+    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -950,16 +910,15 @@ def chaos_search(
     evaluations = 0
     start_generation = 0
     start_position = 0
-    if resume:
-        if checkpoint is None:
-            raise ConfigurationError("resume=True requires a checkpoint")
-        state = checkpoint.load(
-            run_config=run_config,
-            search=search,
-            bounds=bounds,
-            judge=judge,
-            strategist=strategist,
+    checkpoint_key = ""
+    if resume and checkpoint is None:
+        raise ConfigurationError("resume=True requires a checkpoint")
+    if checkpoint is not None:
+        checkpoint_key = checkpoint.config_key(
+            run_config=run_config, search=search, bounds=bounds, judge=judge
         )
+    if resume:
+        state = checkpoint.load(key=checkpoint_key, strategist=strategist)
         start_generation = state.generation
         start_position = state.position
         population = list(state.population)
@@ -981,7 +940,7 @@ def chaos_search(
                         scenario=scenario,
                         score=judge.diverged_score(),
                         report=None,
-                        report_digest=None,
+                        digest=None,
                         generation=generation,
                     )
                 else:
@@ -989,7 +948,7 @@ def chaos_search(
                         scenario=scenario,
                         score=judge.score(report),
                         report=report,
-                        report_digest=report_digest(report),
+                        digest=digest(report),
                         generation=generation,
                     )
                 evaluations += 1
@@ -1000,16 +959,15 @@ def chaos_search(
                 # post-last-evolve, so a resume replays the next evolve
                 # (and everything after it) identically.
                 checkpoint.save(
-                    run_config=run_config,
-                    search=search,
-                    bounds=bounds,
-                    judge=judge,
+                    key=checkpoint_key,
                     strategist=strategist,
-                    generation=generation,
-                    position=pos + 1,
-                    population=population,
-                    outcomes=outcomes,
-                    evaluations=evaluations,
+                    state=ChaosResumeState(
+                        generation=generation,
+                        position=pos + 1,
+                        population=population,
+                        outcomes=outcomes,
+                        evaluations=evaluations,
+                    ),
                 )
         ranked = sorted(
             outcomes, key=lambda o: o.score.badness, reverse=True
@@ -1041,7 +999,8 @@ def build_bundle(
 
     The bundle ID is the SHA-256 of the canonical ``(scenario, run)``
     spec — stable across interpreter runs and machines — and the expected
-    block pins the :func:`report_digest` the replay must reproduce.
+    block pins the report :func:`~repro.exact.digest` the replay must
+    reproduce.
     """
     spec = {"scenario": scenario.to_dict(), "run": run_config.to_dict()}
     bundle: Dict[str, Any] = {
@@ -1051,7 +1010,7 @@ def build_bundle(
         "scenario_key": scenario.key,
         "run": spec["run"],
         "expected": {
-            "report_digest": report_digest(report),
+            "digest": digest(report),
             "availability": report.availability,
             "corrupted_delivery_rate": report.corrupted_delivery_rate,
             "retransmissions": report.retransmissions,
@@ -1143,8 +1102,8 @@ def replay_bundle(
     return ReplayResult(
         bundle_id=bundle["bundle_id"],
         runner="fast" if fast else "scalar",
-        digest=report_digest(report),
-        expected_digest=bundle["expected"]["report_digest"],
+        digest=digest(report),
+        expected_digest=bundle["expected"]["digest"],
         report=report,
     )
 

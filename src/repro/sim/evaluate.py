@@ -211,23 +211,6 @@ def evaluate_partition(
     )
 
 
-def metrics_identical(a: PartitionMetrics, b: PartitionMetrics) -> bool:
-    """Bit-exact equality of two metrics records.
-
-    Float fields are compared by ``repr`` (round-trip exact, and unlike
-    ``==`` it treats two NaNs as equal); the ``in_sensor`` sets by set
-    equality, since frozenset *iteration order* depends on insertion
-    history and is not part of the value.
-    """
-    if a.in_sensor != b.in_sensor:
-        return False
-    return all(
-        repr(getattr(a, name)) == repr(getattr(b, name))
-        for name in a.__dataclass_fields__
-        if name != "in_sensor"
-    )
-
-
 class PartitionEvaluationCache:
     """Bounded LRU memo for pure partition evaluations.
 

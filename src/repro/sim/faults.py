@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -496,8 +496,8 @@ class ResilienceReport:
         all-dropped run has no latency distribution, and NaN — rather
         than 0.0 or an exception — keeps the statistic honest, propagates
         through downstream arithmetic, and round-trips the canonical
-        encoders (:func:`repro.sim.chaos._float_token`, checkpoint hex
-        floats).  Check :attr:`availability` before aggregating.
+        encoder (:mod:`repro.exact` writes floats as ``float.hex()``).
+        Check :attr:`availability` before aggregating.
         """
         served = self._served_latency_array
         return float(np.mean(served)) if served.size else math.nan
@@ -554,42 +554,6 @@ class ResilienceReport:
         return self.corrupted_deliveries / self.n_events
 
 
-def reports_identical(a: ResilienceReport, b: ResilienceReport) -> bool:
-    """Field-exact comparison of two reports, treating NaN == NaN.
-
-    Dataclass equality calls NaN latencies (dropped events) unequal, so
-    ``a == b`` is False for any run with a drop even when the replay is
-    perfect.  This helper compares every record field and every counter
-    with NaN allowed to match NaN — the right notion of "bit-identical
-    replay" for scalar-vs-fast and serial-vs-parallel equivalence checks.
-    """
-    if len(a.records) != len(b.records):
-        return False
-    for x, y in zip(a.records, b.records):
-        if (x.index, x.status, x.tries, x.fallback, x.staleness, x.corrupted) != (
-            y.index, y.status, y.tries, y.fallback, y.staleness, y.corrupted
-        ):
-            return False
-        if x.latency_s != y.latency_s and not (
-            math.isnan(x.latency_s) and math.isnan(y.latency_s)
-        ):
-            return False
-    counters = (
-        "sensor_energy_j",
-        "aggregator_energy_j",
-        "retry_energy_j",
-        "retransmissions",
-        "fallback_events",
-        "deadline_misses",
-        "frames_sent",
-        "frames_corrupted",
-        "corruptions_detected",
-        "corrupted_deliveries",
-        "integrity_discards",
-    )
-    return all(getattr(a, name) == getattr(b, name) for name in counters)
-
-
 @dataclass(frozen=True)
 class IntegrityConfig:
     """Byte-level data-plane configuration of a campaign run.
@@ -625,6 +589,30 @@ class IntegrityConfig:
     def __post_init__(self) -> None:
         if self.values_per_payload < 1:
             raise ConfigurationError("values_per_payload must be >= 1")
+
+
+@dataclass
+class CampaignResumeState:
+    """Mid-run state a checkpointed campaign runner saves and resumes from.
+
+    Attributes:
+        cursor: Index of the first event still to simulate.
+        clocks: ``(front_free, link_free, back_free)`` resource clocks.
+        energies: ``(sensor_j, aggregator_j, retry_j)`` accumulators.
+        counters: ``(retransmissions, fallback_events, deadline_misses)``.
+        records: Decision records of the already-simulated events.
+        wire: Data-plane integrity counters.
+        extra: Runner-specific state (RNG snapshots, loss-stream
+            remainder); consumed by the runner that wrote it.
+    """
+
+    cursor: int
+    clocks: Tuple[float, float, float]
+    energies: Tuple[float, float, float]
+    counters: Tuple[int, int, int]
+    records: List[DecisionRecord]
+    wire: Dict[str, int]
+    extra: Dict[str, Any] = field(default_factory=dict)
 
 
 class FaultCampaign:
@@ -788,9 +776,10 @@ class FaultCampaign:
             )
         if resume and checkpoint is None:
             raise ConfigurationError("resume=True requires a checkpoint")
+        key = ""
         resume_state = None
-        if resume:
-            resume_state = checkpoint.load(
+        if checkpoint is not None:
+            key = checkpoint.config_key(
                 campaign=self,
                 runner="fast" if use_fast else "scalar",
                 simulator=simulator,
@@ -802,10 +791,14 @@ class FaultCampaign:
                 integrity=integrity,
                 breaker=breaker,
             )
+        if resume:
+            resume_state = checkpoint.load(
+                key=key, campaign=self, policy=policy, cache=cache, breaker=breaker
+            )
         runner = self._run_fast if use_fast else self._run_scalar
         return runner(
             simulator, n_events, arq, policy, fallback_metrics, cache,
-            integrity, breaker, checkpoint, resume_state
+            integrity, breaker, checkpoint, key, resume_state
         )
 
     def _run_scalar(
@@ -819,7 +812,8 @@ class FaultCampaign:
         integrity: Optional[IntegrityConfig],
         breaker: Optional[object] = None,
         checkpoint: Optional[object] = None,
-        resume_state: Optional[object] = None,
+        checkpoint_key: str = "",
+        resume_state: Optional[CampaignResumeState] = None,
     ) -> ResilienceReport:
         """Reference event-by-event runner (see :meth:`run`)."""
         if resume_state is None:
@@ -1026,31 +1020,28 @@ class FaultCampaign:
 
             if checkpoint is not None and checkpoint.due(k + 1):
                 checkpoint.save(
+                    key=checkpoint_key,
                     campaign=self,
-                    runner="scalar",
-                    simulator=simulator,
-                    n_events=n_events,
-                    arq=arq,
                     policy=policy,
-                    fallback_metrics=fallback_metrics,
                     cache=cache,
-                    integrity=integrity,
                     breaker=breaker,
-                    cursor=k + 1,
-                    clocks=(front_free, link_free, back_free),
-                    energies=(sensor_j, aggregator_j, retry_j),
-                    counters=(retransmissions, fallback_events, misses),
-                    records=records,
-                    wire=wire,
-                    extra={
-                        "payload_rng": payload_rng.bit_generator.state,
-                        "jitter_rng": (
-                            None
-                            if jitter_rng is None
-                            else jitter_rng.bit_generator.state
-                        ),
-                        "seq_base": seq_base,
-                    },
+                    state=CampaignResumeState(
+                        cursor=k + 1,
+                        clocks=(front_free, link_free, back_free),
+                        energies=(sensor_j, aggregator_j, retry_j),
+                        counters=(retransmissions, fallback_events, misses),
+                        records=records,
+                        wire=wire,
+                        extra={
+                            "payload_rng": payload_rng.bit_generator.state,
+                            "jitter_rng": (
+                                None
+                                if jitter_rng is None
+                                else jitter_rng.bit_generator.state
+                            ),
+                            "seq_base": seq_base,
+                        },
+                    ),
                 )
 
         return ResilienceReport(
@@ -1129,7 +1120,8 @@ class FaultCampaign:
         integrity: Optional[IntegrityConfig],
         breaker: Optional[object] = None,
         checkpoint: Optional[object] = None,
-        resume_state: Optional[object] = None,
+        checkpoint_key: str = "",
+        resume_state: Optional[CampaignResumeState] = None,
     ) -> ResilienceReport:
         """Vectorized runner; bit-identical to :meth:`_run_scalar`.
 
@@ -1491,26 +1483,23 @@ class FaultCampaign:
 
             if checkpoint is not None and checkpoint.due(k + 1):
                 checkpoint.save(
+                    key=checkpoint_key,
                     campaign=self,
-                    runner="fast",
-                    simulator=simulator,
-                    n_events=n_events,
-                    arq=arq,
                     policy=policy,
-                    fallback_metrics=fallback_metrics,
                     cache=cache,
-                    integrity=integrity,
                     breaker=breaker,
-                    cursor=k + 1,
-                    clocks=(front_free, link_free, back_free),
-                    energies=(sensor_j, aggregator_j, retry_j),
-                    counters=(retransmissions, fallback_events, misses),
-                    records=records,
-                    wire=wire,
-                    extra={
-                        "a": a,
-                        "loss_remainder": loss.buf[att:].astype(int).tolist(),
-                    },
+                    state=CampaignResumeState(
+                        cursor=k + 1,
+                        clocks=(front_free, link_free, back_free),
+                        energies=(sensor_j, aggregator_j, retry_j),
+                        counters=(retransmissions, fallback_events, misses),
+                        records=records,
+                        wire=wire,
+                        extra={
+                            "a": a,
+                            "loss_remainder": loss.buf[att:].astype(int).tolist(),
+                        },
+                    ),
                 )
 
         return ResilienceReport(

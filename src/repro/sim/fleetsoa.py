@@ -50,10 +50,9 @@ outcomes depend only on ``(seed, network index)``, never on sharding:
 The scalar twin (:func:`simulate_fleet_scalar`) builds real
 :class:`~repro.sim.channel.GilbertElliottChannel` objects sharing the
 per-network generator (``rng=`` injection) and walks per-object Python
-loops; :func:`fleet_results_identical` asserts the two paths agree
+loops; :func:`repro.exact.identical` asserts the two paths agree
 **bit-for-bit**, NaN sentinels included, which is how the perf bench and
-the CI gate hold the fast path honest (the `reports_identical` discipline
-from :mod:`repro.sim.faults`).
+the CI gate hold the fast path honest.
 """
 
 from __future__ import annotations
@@ -408,51 +407,21 @@ class FleetResult:
         return self.charge_j > 0.0
 
 
-#: (field name, NaN-aware float comparison) pairs checked for identity.
-_RESULT_FLOAT_FIELDS = (
-    "availability",
-    "latency_sum_s",
-    "energy_j",
-    "charge_j",
-)
-_RESULT_INT_FIELDS = (
+#: Per-device columns, concatenated shard by shard in fleet order.
+_DEVICE_COLUMNS = (
     "offered",
     "delivered",
     "dropped",
     "attempts",
+    "latency_sum_s",
     "latency_events",
+    "energy_j",
+    "charge_j",
     "seq",
     "slot",
+    "pending",
+    "chain_bad",
 )
-_RESULT_BOOL_FIELDS = ("pending", "chain_bad")
-
-
-def fleet_results_identical(a: FleetResult, b: FleetResult) -> bool:
-    """Bit-identity of two fleet results, NaN-aware.
-
-    Float columns compare with ``np.array_equal(..., equal_nan=True)``
-    (NaN sentinels mark unscheduled rounds and zero-delivery latencies);
-    integer/bool columns and final health states compare exactly.
-    """
-    if a.n_rounds != b.n_rounds or a.n_devices != b.n_devices:
-        return False
-    for name in _RESULT_FLOAT_FIELDS:
-        if not np.array_equal(
-            getattr(a, name), getattr(b, name), equal_nan=True
-        ):
-            return False
-    for name in _RESULT_INT_FIELDS + _RESULT_BOOL_FIELDS:
-        if not np.array_equal(getattr(a, name), getattr(b, name)):
-            return False
-    if (a.health is None) != (b.health is None) or a.health != b.health:
-        return False
-    if (a.quarantines is None) != (b.quarantines is None):
-        return False
-    if a.quarantines is not None and not np.array_equal(
-        a.quarantines, b.quarantines
-    ):
-        return False
-    return True
 
 
 def concat_fleet_results(parts: Sequence[FleetResult]) -> FleetResult:
@@ -470,9 +439,7 @@ def concat_fleet_results(parts: Sequence[FleetResult]) -> FleetResult:
     kwargs["availability"] = np.concatenate(
         [p.availability for p in parts], axis=1
     )
-    for name in (
-        _RESULT_FLOAT_FIELDS[1:] + _RESULT_INT_FIELDS + _RESULT_BOOL_FIELDS
-    ):
+    for name in _DEVICE_COLUMNS:
         kwargs[name] = np.concatenate([getattr(p, name) for p in parts])
     healths = [p.health for p in parts]
     if all(h is not None for h in healths):
@@ -840,7 +807,6 @@ __all__ = [
     "FleetResult",
     "FleetSpec",
     "concat_fleet_results",
-    "fleet_results_identical",
     "simulate_fleet_scalar",
     "simulate_fleet_soa",
 ]

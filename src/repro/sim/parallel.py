@@ -27,8 +27,8 @@ Parallel execution is **bit-identical** to serial execution:
 
 One comparison caveat: results carrying NaN sentinels (e.g. the
 ``latency_s`` of a dropped event) are bit-identical across backends but
-compare unequal under naive ``==`` because ``nan != nan`` — compare field
-reprs (round-trip exact for floats) when asserting cross-backend identity.
+compare unequal under naive ``==`` because ``nan != nan`` — assert
+cross-backend identity with :func:`repro.exact.identical`.
 
 The ``"serial"`` backend runs the identical task list in-process, which is
 both the reference for the bit-identity tests and the fallback for
@@ -205,6 +205,40 @@ def _run_item_chunk(
     return [func(item) for item in chunk]
 
 
+#: Per-process shared read-only state of the running :func:`shared_map`:
+#: heavy invariants (spec columns, sample matrices, training data) cross
+#: the process boundary once per worker instead of once per task.
+_SHARED: Dict[str, Any] = {}
+
+
+def _init_shared(shared: Dict[str, Any]) -> None:
+    """Worker initializer: install the fan-out's shared state."""
+    global _SHARED
+    _SHARED = shared
+
+
+def shared_map(
+    shared: Dict[str, Any],
+    func: Callable[[Any], Any],
+    items: Sequence[Any],
+    config: Optional[ParallelConfig] = None,
+) -> List[Any]:
+    """:func:`parallel_map` with ``shared`` installed for ``func`` to read.
+
+    ``func`` reads the state from the module-level ``_SHARED`` slot.  The
+    slot is restored afterwards, so serial-backend state never leaks past
+    the call and a nested fan-out cannot clobber its caller's state.
+    """
+    global _SHARED
+    outer = _SHARED
+    try:
+        return parallel_map(
+            func, items, config, initializer=_init_shared, initargs=(shared,)
+        )
+    finally:
+        _SHARED = outer
+
+
 # -- fleet drivers (module-level workers so the process backend can pickle) --
 
 
@@ -250,24 +284,12 @@ def fleet_simulations(
     return parallel_map(_bsn_simulate, [(bsn, n_events) for bsn in bsns], config)
 
 
-#: Per-process shared SoA fleet state installed by :func:`_init_fleet_shared`:
-#: the read-only spec columns, round count and policy cross the process
-#: boundary once per worker instead of once per shard.
-_FLEET_SHARED: Dict[str, Any] = {}
-
-
-def _init_fleet_shared(spec: Any, n_rounds: int, policy: Any) -> None:
-    """Worker initializer: install the fleet's shared read-only arrays."""
-    global _FLEET_SHARED
-    _FLEET_SHARED = {"spec": spec, "n_rounds": n_rounds, "policy": policy}
-
-
 def _fleet_soa_shard(bounds: Tuple[int, int]) -> Any:
     """Worker: simulate one contiguous network range of the shared fleet."""
     from repro.sim.fleetsoa import simulate_fleet_soa
 
     lo, hi = bounds
-    shared = _FLEET_SHARED
+    shared = _SHARED
     return simulate_fleet_soa(
         shared["spec"].slice_networks(lo, hi),
         shared["n_rounds"],
@@ -324,38 +346,13 @@ def fleet_soa_rounds(
         )
         for s in range(n_shards)
     ]
-    try:
-        parts = parallel_map(
-            _fleet_soa_shard,
-            bounds,
-            config,
-            initializer=_init_fleet_shared,
-            initargs=(spec, n_rounds, policy),
-        )
-    finally:
-        _init_fleet_shared(None, 0, None)  # don't leak serial-backend state
+    parts = shared_map(
+        {"spec": spec, "n_rounds": n_rounds, "policy": policy},
+        _fleet_soa_shard,
+        bounds,
+        config,
+    )
     return concat_fleet_results(parts)
-
-
-#: Per-process shared stream-pool state installed by
-#: :func:`_init_stream_shared`: the read-only spec columns, backend,
-#: sample matrix and tick cadence cross the process boundary once per
-#: worker instead of once per shard.
-_STREAM_SHARED: Dict[str, Any] = {}
-
-
-def _init_stream_shared(
-    spec: Any, backend: Any, samples: Any, tick_samples: int, policy: Any
-) -> None:
-    """Worker initializer: install the pool's shared read-only state."""
-    global _STREAM_SHARED
-    _STREAM_SHARED = {
-        "spec": spec,
-        "backend": backend,
-        "samples": samples,
-        "tick_samples": tick_samples,
-        "policy": policy,
-    }
 
 
 def _stream_soa_shard(bounds: Tuple[int, int]) -> Any:
@@ -363,7 +360,7 @@ def _stream_soa_shard(bounds: Tuple[int, int]) -> Any:
     from repro.stream.engine import run_stream_pool
 
     lo, hi = bounds
-    shared = _STREAM_SHARED
+    shared = _SHARED
     return run_stream_pool(
         shared["spec"].slice_streams(lo, hi),
         shared["backend"],
@@ -394,7 +391,7 @@ def stream_soa_windows(
     Streams are mutually independent — each consumes only its own sample
     row and ring buffer — so the sharded result is **bit-identical** to
     the unsharded one (and the serial backend to the process backend)
-    under :func:`~repro.stream.engine.stream_results_identical`.
+    under :func:`repro.exact.identical` in canonical order.
 
     Args:
         spec: The stream population (:class:`~repro.stream.engine.
@@ -436,30 +433,15 @@ def stream_soa_windows(
         )
         for s in range(n_shards)
     ]
-    try:
-        parts = parallel_map(
-            _stream_soa_shard,
-            bounds,
-            config,
-            initializer=_init_stream_shared,
-            initargs=(spec, backend, x, tick_samples, policy),
-        )
-    finally:
-        _init_stream_shared(None, None, None, 1, None)
+    shared = {
+        "spec": spec,
+        "backend": backend,
+        "samples": x,
+        "tick_samples": tick_samples,
+        "policy": policy,
+    }
+    parts = shared_map(shared, _stream_soa_shard, bounds, config)
     return concat_stream_results(parts, [lo for lo, _ in bounds])
-
-
-#: Per-process shared subspace-training state installed by
-#: :func:`_init_subspace_shared`: the feature matrix, labels, kernel and
-#: split indices cross the process boundary once per worker instead of
-#: once per draw.
-_SUBSPACE_SHARED: Dict[str, Any] = {}
-
-
-def _init_subspace_shared(payload: Dict[str, Any]) -> None:
-    """Worker initializer: install the training run's shared state."""
-    global _SUBSPACE_SHARED
-    _SUBSPACE_SHARED = payload
 
 
 def _subspace_draw_task(task: Tuple[Any, int, int]) -> Any:
@@ -467,7 +449,7 @@ def _subspace_draw_task(task: Tuple[Any, int, int]) -> Any:
     from repro.ml.subspace import fit_subspace_draw
 
     subset, member_seed, fold_seed = task
-    shared = _SUBSPACE_SHARED
+    shared = _SHARED
     return fit_subspace_draw(
         shared["X"],
         shared["y"],
@@ -537,16 +519,7 @@ def subspace_draws(
     tasks = [
         (subsets[d], seeds[d][0], seeds[d][1]) for d in range(len(subsets))
     ]
-    try:
-        return parallel_map(
-            _subspace_draw_task,
-            tasks,
-            config,
-            initializer=_init_subspace_shared,
-            initargs=(payload,),
-        )
-    finally:
-        _init_subspace_shared({})  # don't leak serial-backend state
+    return shared_map(payload, _subspace_draw_task, tasks, config)
 
 
 @dataclass(frozen=True)
@@ -592,23 +565,12 @@ def run_campaigns(
     return parallel_map(_run_campaign, tasks, config)
 
 
-#: Per-process shared sweep state installed by :func:`_init_sweep_shared`.
-#: Workers receive it once (pool initializer) instead of per task.
-_SWEEP_SHARED: Dict[str, Any] = {}
-
-
-def _init_sweep_shared(shared: Dict[str, Any]) -> None:
-    """Worker initializer: install the sweep's shared keyword arguments."""
-    global _SWEEP_SHARED
-    _SWEEP_SHARED = shared
-
-
 def _call_with_params(
     task: Tuple[Callable[..., Any], Tuple[Tuple[str, Any], ...]]
 ) -> Any:
     """Worker: evaluate one design-space point."""
     func, params = task
-    kwargs = dict(_SWEEP_SHARED)
+    kwargs = dict(_SHARED)
     kwargs.update(params)
     return func(**kwargs)
 
@@ -670,34 +632,25 @@ def sweep(
         tuple(zip(names, values)) for values in product(*(grid[n] for n in names))
     ]
     if checkpoint is None:
-        try:
-            results = parallel_map(
-                _call_with_params,
-                [(func, c) for c in combos],
-                config,
-                initializer=_init_sweep_shared,
-                initargs=(dict(shared or {}),),
-            )
-        finally:
-            _init_sweep_shared({})  # don't leak serial-backend state
+        results = shared_map(
+            dict(shared or {}),
+            _call_with_params,
+            [(func, c) for c in combos],
+            config,
+        )
         return [(dict(c), r) for c, r in zip(combos, results)]
-    done: Dict[int, Any] = (
-        checkpoint.load(func=func, grid=grid, shared=shared) if resume else {}
-    )
+    key = checkpoint.config_key(func=func, grid=grid, shared=shared)
+    done: Dict[int, Any] = checkpoint.load(key=key) if resume else {}
     pending = [i for i in range(len(combos)) if i not in done]
-    try:
-        for lo in range(0, len(pending), checkpoint.every):
-            batch = pending[lo : lo + checkpoint.every]
-            values = parallel_map(
-                _call_with_params,
-                [(func, combos[i]) for i in batch],
-                config,
-                initializer=_init_sweep_shared,
-                initargs=(dict(shared or {}),),
-            )
-            for i, value in zip(batch, values):
-                done[i] = value
-            checkpoint.save(func=func, grid=grid, shared=shared, done=done)
-    finally:
-        _init_sweep_shared({})  # don't leak serial-backend state across sweeps
+    for lo in range(0, len(pending), checkpoint.every):
+        batch = pending[lo : lo + checkpoint.every]
+        values = shared_map(
+            dict(shared or {}),
+            _call_with_params,
+            [(func, combos[i]) for i in batch],
+            config,
+        )
+        for i, value in zip(batch, values):
+            done[i] = value
+        checkpoint.save(key=key, done=done)
     return [(dict(combos[i]), done[i]) for i in range(len(combos))]

@@ -23,8 +23,8 @@ the per-event machinery of :mod:`repro.sim.faults`:
   parallel.sweep` (:class:`SweepCheckpointer`) and :func:`~repro.sim.
   chaos.chaos_search` (:class:`ChaosCheckpointer`).  Snapshots carry RNG
   bit-generator state, the campaign cursor, accumulated counters and the
-  evaluated-outcome archive as digest-pinned canonical JSON (the PR-6
-  replay-bundle discipline: floats via ``float.hex()``, identifiers via
+  evaluated-outcome archive as digest-pinned canonical JSON written by
+  :mod:`repro.exact` (floats via ``float.hex()``, identifiers via
   SHA-256, never ``hash()``), so a resumed run reproduces the
   uninterrupted run's report **bit-for-bit** on both the fast and scalar
   campaign runners.
@@ -42,27 +42,27 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field
+import pydoc
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.errors import CheckpointError, ConfigurationError
+from repro.exact import decode, encode, stable_digest
 from repro.hw.arq import ARQConfig
 from repro.sim.chaos import (
-    ChaosOutcome,
-    ChaosScenario,
-    ChaosScore,
+    ChaosResumeState,
+    _arq_to_dict,
+    _integrity_to_dict,
     _metrics_to_dict,
-    canonical_json,
-    stable_digest,
 )
 from repro.sim.faults import (
     DELIVERED,
     AggregatorStall,
     BurstLoss,
-    DecisionRecord,
+    CampaignResumeState,
     LinkOutage,
     PayloadCorruption,
     ResilienceReport,
@@ -70,7 +70,7 @@ from repro.sim.faults import (
 )
 
 #: Schema marker stamped into every checkpoint file.
-CHECKPOINT_SCHEMA = "xpro-checkpoint-v1"
+CHECKPOINT_SCHEMA = "xpro-checkpoint-v2"
 
 #: Health states a supervised device moves through.
 HEALTHY = "healthy"
@@ -80,17 +80,7 @@ RECOVERING = "recovering"
 HEALTH_STATES = (HEALTHY, DEGRADED, QUARANTINED, RECOVERING)
 
 
-# -- float / RNG / record codecs -----------------------------------------------
-
-
-def _enc_float(value: float) -> str:
-    """Bit-exact text form of one float (NaN/inf-safe, resume-stable)."""
-    return float(value).hex()
-
-
-def _dec_float(token: str) -> float:
-    """Inverse of :func:`_enc_float`."""
-    return float.fromhex(token)
+# -- RNG state -----------------------------------------------------------------
 
 
 def rng_state(generator: np.random.Generator) -> Dict[str, Any]:
@@ -106,65 +96,6 @@ def restore_rng(state: Mapping[str, Any]) -> np.random.Generator:
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid RNG state in checkpoint: {exc}") from exc
     return generator
-
-
-def _enc_record(record: DecisionRecord) -> List[Any]:
-    return [
-        record.index,
-        record.status,
-        record.tries,
-        _enc_float(record.latency_s),
-        record.fallback,
-        record.staleness,
-        record.corrupted,
-    ]
-
-
-def _dec_record(row: Sequence[Any]) -> DecisionRecord:
-    return DecisionRecord(
-        index=int(row[0]),
-        status=str(row[1]),
-        tries=int(row[2]),
-        latency_s=_dec_float(row[3]),
-        fallback=bool(row[4]),
-        staleness=int(row[5]),
-        corrupted=bool(row[6]),
-    )
-
-
-_REPORT_FLOATS = ("sensor_energy_j", "aggregator_energy_j", "retry_energy_j")
-_REPORT_INTS = (
-    "retransmissions",
-    "fallback_events",
-    "deadline_misses",
-    "frames_sent",
-    "frames_corrupted",
-    "corruptions_detected",
-    "corrupted_deliveries",
-    "integrity_discards",
-)
-
-
-def _enc_report(report: ResilienceReport) -> Dict[str, Any]:
-    data: Dict[str, Any] = {
-        "records": [_enc_record(r) for r in report.records]
-    }
-    for name in _REPORT_FLOATS:
-        data[name] = _enc_float(getattr(report, name))
-    for name in _REPORT_INTS:
-        data[name] = int(getattr(report, name))
-    return data
-
-
-def _dec_report(data: Mapping[str, Any]) -> ResilienceReport:
-    kwargs: Dict[str, Any] = {
-        "records": [_dec_record(row) for row in data["records"]]
-    }
-    for name in _REPORT_FLOATS:
-        kwargs[name] = _dec_float(data[name])
-    for name in _REPORT_INTS:
-        kwargs[name] = int(data[name])
-    return ResilienceReport(**kwargs)
 
 
 # -- fault signatures and mutable fault state ----------------------------------
@@ -243,27 +174,6 @@ def load_fault_state(fault: Any, state: Mapping[str, Any]) -> None:
         raise CheckpointError(
             f"checkpoint fault state mismatch ({type(fault).__name__})"
         )
-
-
-def _arq_to_dict(arq: ARQConfig) -> Dict[str, Any]:
-    return {
-        "max_retries": arq.max_retries,
-        "timeout_s": float(arq.timeout_s),
-        "backoff_factor": float(arq.backoff_factor),
-        "jitter_fraction": float(arq.jitter_fraction),
-    }
-
-
-def _integrity_to_dict(integrity: Any) -> Optional[Dict[str, Any]]:
-    if integrity is None:
-        return None
-    return {
-        "max_payload_bytes": integrity.framing.max_payload_bytes,
-        "crc": integrity.framing.crc,
-        "version": integrity.framing.version,
-        "retransmit_on_corrupt": integrity.retransmit_on_corrupt,
-        "values_per_payload": integrity.values_per_payload,
-    }
 
 
 # -- the checkpoint store ------------------------------------------------------
@@ -544,60 +454,58 @@ def wasted_radio_j(
     return total
 
 
-# -- campaign checkpointing ----------------------------------------------------
+# -- checkpointers -------------------------------------------------------------
 
 
-@dataclass
-class CampaignResumeState:
-    """Decoded mid-run state handed back to a resuming campaign runner.
+class _Checkpointer:
+    """Snapshot cadence and save count shared by the three checkpointers.
 
-    Attributes:
-        cursor: Index of the first event still to simulate.
-        clocks: ``(front_free, link_free, back_free)`` resource clocks.
-        energies: ``(sensor_j, aggregator_j, retry_j)`` accumulators.
-        counters: ``(retransmissions, fallback_events, deadline_misses)``.
-        records: Decision records of the already-simulated events.
-        wire: Data-plane integrity counters.
-        extra: Runner-specific state (RNG snapshots, loss-stream
-            remainder); consumed by the runner that wrote it.
+    Each subclass names its document ``kind``, its default cadence
+    ``default_every`` and the ``config_key`` digest that pins its run; the
+    run digests that key once and hands it to every ``save``/``load``.
     """
 
-    cursor: int
-    clocks: Tuple[float, float, float]
-    energies: Tuple[float, float, float]
-    counters: Tuple[int, int, int]
-    records: List[DecisionRecord]
-    wire: Dict[str, int]
-    extra: Dict[str, Any] = field(default_factory=dict)
+    kind = ""
+    default_every = 1
 
-
-class CampaignCheckpointer:
-    """Periodic crash-safe snapshots of one :meth:`FaultCampaign.run`.
-
-    Pass one to ``FaultCampaign.run(..., checkpoint=...)`` to snapshot
-    every ``every`` events, and ``resume=True`` to continue from the last
-    snapshot: the resumed run's report is bit-identical to an
-    uninterrupted run on the same runner.  The config key pins campaign
-    seed, fault signatures, runner, ARQ, simulator, policy, cache,
-    integrity and breaker configuration, so a checkpoint can never resume
-    a different run.
-    """
-
-    kind = "campaign"
-
-    def __init__(self, path: str | Path, every: int = 200) -> None:
+    def __init__(self, path: str | Path, every: Optional[int] = None) -> None:
+        every = self.default_every if every is None else every
         if every < 1:
             raise ConfigurationError("every must be >= 1")
         self.path = Path(path)
         self.every = int(every)
         self.saves = 0
 
-    def due(self, events_done: int) -> bool:
-        """Whether a snapshot is due after ``events_done`` events."""
-        return events_done > 0 and events_done % self.every == 0
+    def due(self, done: int) -> bool:
+        """Whether a snapshot is due after ``done`` steps (events, runs)."""
+        return done > 0 and done % self.every == 0
 
+    def _write(self, key: str, state: Dict[str, Any]) -> Path:
+        path = save_checkpoint(self.path, self.kind, key, state)
+        self.saves += 1
+        return path
+
+    def _read(self, key: str) -> Dict[str, Any]:
+        return load_checkpoint(self.path, self.kind, key)
+
+
+class CampaignCheckpointer(_Checkpointer):
+    """Periodic crash-safe snapshots of one :meth:`FaultCampaign.run`.
+
+    Pass one to ``FaultCampaign.run(..., checkpoint=...)`` to snapshot
+    every ``every`` events (default 200), and ``resume=True`` to continue
+    from the last snapshot: the resumed run's report is bit-identical to
+    an uninterrupted run on the same runner.  The config key pins
+    campaign seed, fault signatures, runner, ARQ, simulator, policy,
+    cache, integrity and breaker configuration, so a checkpoint can never
+    resume a different run.
+    """
+
+    kind = "campaign"
+    default_every = 200
+
+    @staticmethod
     def config_key(
-        self,
         *,
         campaign: Any,
         runner: str,
@@ -649,66 +557,32 @@ class CampaignCheckpointer:
     def save(
         self,
         *,
+        key: str,
         campaign: Any,
-        runner: str,
-        simulator: Any,
-        n_events: int,
-        arq: ARQConfig,
         policy: Optional[Any],
-        fallback_metrics: Optional[Any],
         cache: Optional[Any],
-        integrity: Optional[Any],
         breaker: Optional[LinkCircuitBreaker],
-        cursor: int,
-        clocks: Sequence[float],
-        energies: Sequence[float],
-        counters: Sequence[int],
-        records: Sequence[DecisionRecord],
-        wire: Mapping[str, int],
-        extra: Optional[Mapping[str, Any]] = None,
+        state: CampaignResumeState,
     ) -> Path:
         """Write one snapshot of the running campaign (atomic replace)."""
-        key = self.config_key(
-            campaign=campaign,
-            runner=runner,
-            simulator=simulator,
-            n_events=n_events,
-            arq=arq,
-            policy=policy,
-            fallback_metrics=fallback_metrics,
-            cache=cache,
-            integrity=integrity,
-            breaker=breaker,
+        return self._write(
+            key,
+            {
+                **encode(state),
+                "faults": [fault_state(f) for f in campaign.faults],
+                "policy": None if policy is None else policy.state_dict(),
+                "cache": None if cache is None else cache.state_dict(),
+                "breaker": None if breaker is None else breaker.state_dict(),
+            },
         )
-        state = {
-            "cursor": int(cursor),
-            "clocks": [_enc_float(v) for v in clocks],
-            "energies": [_enc_float(v) for v in energies],
-            "counters": [int(v) for v in counters],
-            "records": [_enc_record(r) for r in records],
-            "wire": {k: int(v) for k, v in wire.items()},
-            "faults": [fault_state(f) for f in campaign.faults],
-            "policy": None if policy is None else policy.state_dict(),
-            "cache": None if cache is None else cache.state_dict(),
-            "breaker": None if breaker is None else breaker.state_dict(),
-            "extra": dict(extra or {}),
-        }
-        path = save_checkpoint(self.path, self.kind, key, state)
-        self.saves += 1
-        return path
 
     def load(
         self,
         *,
+        key: str,
         campaign: Any,
-        runner: str,
-        simulator: Any,
-        n_events: int,
-        arq: ARQConfig,
         policy: Optional[Any],
-        fallback_metrics: Optional[Any],
         cache: Optional[Any],
-        integrity: Optional[Any],
         breaker: Optional[LinkCircuitBreaker],
     ) -> CampaignResumeState:
         """Validate, restore in-place fault/policy/cache/breaker state.
@@ -716,21 +590,10 @@ class CampaignCheckpointer:
         Re-arms the campaign (``campaign.reset()``), overwrites every
         stochastic fault's RNG position with the snapshot, restores the
         degradation policy, cache and breaker, and returns the decoded
-        :class:`CampaignResumeState` for the runner to continue from.
+        :class:`~repro.sim.faults.CampaignResumeState` for the runner to
+        continue from.
         """
-        key = self.config_key(
-            campaign=campaign,
-            runner=runner,
-            simulator=simulator,
-            n_events=n_events,
-            arq=arq,
-            policy=policy,
-            fallback_metrics=fallback_metrics,
-            cache=cache,
-            integrity=integrity,
-            breaker=breaker,
-        )
-        state = load_checkpoint(self.path, self.kind, key)
+        state = self._read(key)
         campaign.reset()
         for fault, fstate in zip(campaign.faults, state["faults"]):
             load_fault_state(fault, fstate)
@@ -740,86 +603,34 @@ class CampaignCheckpointer:
             cache.load_state(state["cache"])
         if breaker is not None:
             breaker.load_state(state["breaker"])
-        clocks = tuple(_dec_float(v) for v in state["clocks"])
-        energies = tuple(_dec_float(v) for v in state["energies"])
-        counters = tuple(int(v) for v in state["counters"])
-        return CampaignResumeState(
-            cursor=int(state["cursor"]),
-            clocks=clocks,  # type: ignore[arg-type]
-            energies=energies,  # type: ignore[arg-type]
-            counters=counters,  # type: ignore[arg-type]
-            records=[_dec_record(row) for row in state["records"]],
-            wire={k: int(v) for k, v in state["wire"].items()},
-            extra=dict(state["extra"]),
-        )
+        return decode(CampaignResumeState, state)
 
 
-# -- sweep checkpointing -------------------------------------------------------
+#: Scalar sweep values a checkpoint can restore from their type alone.
+_SWEEP_SCALARS = (bool, int, float, str, type(None))
 
 
-def _encode_sweep_value(value: Any) -> Dict[str, Any]:
-    """Default sweep-value encoder (reports, floats, JSON scalars)."""
-    if isinstance(value, ResilienceReport):
-        return {"kind": "report", "data": _enc_report(value)}
-    if isinstance(value, float):
-        return {"kind": "float", "data": _enc_float(value)}
-    try:
-        canonical_json(value)
-    except (TypeError, ValueError) as exc:
-        raise CheckpointError(
-            f"sweep value of type {type(value).__name__} is not "
-            "checkpoint-safe; pass SweepCheckpointer(encode=..., decode=...)"
-        ) from exc
-    return {"kind": "json", "data": value}
-
-
-def _decode_sweep_value(data: Mapping[str, Any]) -> Any:
-    """Inverse of :func:`_encode_sweep_value`."""
-    kind = data.get("kind")
-    if kind == "report":
-        return _dec_report(data["data"])
-    if kind == "float":
-        return _dec_float(data["data"])
-    if kind == "json":
-        return data["data"]
-    raise CheckpointError(f"unknown sweep value kind {kind!r} in checkpoint")
-
-
-class SweepCheckpointer:
+class SweepCheckpointer(_Checkpointer):
     """Periodic snapshots of a :func:`~repro.sim.parallel.sweep`.
 
     The sweep evaluates its pending grid points in batches of ``every``
-    and saves the accumulated ``point index -> value`` map after each
-    batch; on ``resume=True`` the completed points are skipped and only
-    the remainder is re-evaluated.  Because every point is an independent
-    seeded task, the stitched result is bit-identical to an uninterrupted
-    sweep.  The config key pins the function identity, the grid (names
-    and value reprs) and the shared-kwarg names.
+    (default 1) and saves the accumulated ``point index -> value`` map
+    after each batch; on ``resume=True`` the completed points are skipped
+    and only the remainder is re-evaluated.  Because every point is an
+    independent seeded task, the stitched result is bit-identical to an
+    uninterrupted sweep.  The config key pins the function identity, the
+    grid (names and value reprs) and the shared-kwarg names.
 
-    Values are encoded with a default codec covering
-    :class:`~repro.sim.faults.ResilienceReport`, floats (``float.hex``)
-    and JSON scalars; pass ``encode``/``decode`` for anything else.
+    Values must be dataclasses or scalars: each is stored with its type's
+    import path, written with :func:`repro.exact.encode` and decoded from
+    that type.  Any other value is rejected with
+    :class:`~repro.errors.CheckpointError` at save time.
     """
 
     kind = "sweep"
 
-    def __init__(
-        self,
-        path: str | Path,
-        every: int = 1,
-        encode: Optional[Callable[[Any], Dict[str, Any]]] = None,
-        decode: Optional[Callable[[Mapping[str, Any]], Any]] = None,
-    ) -> None:
-        if every < 1:
-            raise ConfigurationError("every must be >= 1")
-        self.path = Path(path)
-        self.every = int(every)
-        self.encode = encode or _encode_sweep_value
-        self.decode = decode or _decode_sweep_value
-        self.saves = 0
-
+    @staticmethod
     def config_key(
-        self,
         *,
         func: Callable[..., Any],
         grid: Mapping[str, Sequence[Any]],
@@ -836,132 +647,52 @@ class SweepCheckpointer:
         }
         return stable_digest(payload)
 
-    def save(
-        self,
-        *,
-        func: Callable[..., Any],
-        grid: Mapping[str, Sequence[Any]],
-        shared: Optional[Mapping[str, Any]],
-        done: Mapping[int, Any],
-    ) -> Path:
+    def save(self, *, key: str, done: Mapping[int, Any]) -> Path:
         """Write the completed-point map (atomic replace)."""
-        key = self.config_key(func=func, grid=grid, shared=shared)
-        state = {
-            "done": {str(i): self.encode(v) for i, v in done.items()}
-        }
-        path = save_checkpoint(self.path, self.kind, key, state)
-        self.saves += 1
-        return path
+        entries: Dict[str, Any] = {}
+        for index, value in done.items():
+            if isinstance(value, np.generic):
+                value = value.item()
+            cls = type(value)
+            try:
+                if not (is_dataclass(value) or isinstance(value, _SWEEP_SCALARS)):
+                    raise TypeError(f"{cls.__name__} is not a dataclass or a scalar")
+                data = encode(value)
+            except TypeError as exc:
+                raise CheckpointError(
+                    f"sweep value is not checkpoint-safe: {exc}"
+                ) from exc
+            entries[str(index)] = [f"{cls.__module__}.{cls.__qualname__}", data]
+        return self._write(key, {"done": entries})
 
-    def load(
-        self,
-        *,
-        func: Callable[..., Any],
-        grid: Mapping[str, Sequence[Any]],
-        shared: Optional[Mapping[str, Any]],
-    ) -> Dict[int, Any]:
+    def load(self, *, key: str) -> Dict[int, Any]:
         """Validate and decode the completed-point map."""
-        key = self.config_key(func=func, grid=grid, shared=shared)
-        state = load_checkpoint(self.path, self.kind, key)
-        return {int(i): self.decode(v) for i, v in state["done"].items()}
+        state = self._read(key)
+        done: Dict[int, Any] = {}
+        for index, (name, data) in state["done"].items():
+            cls = pydoc.locate(name)
+            if data is not None and not isinstance(cls, type):
+                raise CheckpointError(f"sweep value type {name} cannot be imported")
+            done[int(index)] = decode(cls, data)
+        return done
 
 
-# -- chaos-search checkpointing ------------------------------------------------
-
-
-_SCORE_FLOATS = (
-    "unavailability",
-    "silent_corruption",
-    "latency_tail",
-    "battery_overhead",
-    "degraded_rate",
-    "badness",
-)
-
-
-def _enc_score(score: ChaosScore) -> Dict[str, Any]:
-    data: Dict[str, Any] = {
-        name: _enc_float(getattr(score, name)) for name in _SCORE_FLOATS
-    }
-    data["diverged"] = bool(score.diverged)
-    return data
-
-
-def _dec_score(data: Mapping[str, Any]) -> ChaosScore:
-    kwargs = {name: _dec_float(data[name]) for name in _SCORE_FLOATS}
-    return ChaosScore(diverged=bool(data["diverged"]), **kwargs)
-
-
-def _enc_outcome(outcome: ChaosOutcome) -> Dict[str, Any]:
-    return {
-        "scenario": outcome.scenario.to_dict(),
-        "score": _enc_score(outcome.score),
-        "report": (
-            None if outcome.report is None else _enc_report(outcome.report)
-        ),
-        "report_digest": outcome.report_digest,
-        "generation": int(outcome.generation),
-    }
-
-
-def _dec_outcome(data: Mapping[str, Any]) -> ChaosOutcome:
-    return ChaosOutcome(
-        scenario=ChaosScenario.from_dict(data["scenario"]),
-        score=_dec_score(data["score"]),
-        report=(
-            None if data["report"] is None else _dec_report(data["report"])
-        ),
-        report_digest=data["report_digest"],
-        generation=int(data["generation"]),
-    )
-
-
-@dataclass
-class ChaosResumeState:
-    """Decoded mid-search state handed back to :func:`chaos_search`.
-
-    Attributes:
-        generation: Generation the search stopped inside.
-        position: Index of the next scenario of that generation.
-        population: The generation's full candidate population.
-        outcomes: Every outcome evaluated so far, in evaluation order.
-        evaluations: Campaign runs executed so far.
-    """
-
-    generation: int
-    position: int
-    population: List[ChaosScenario]
-    outcomes: List[ChaosOutcome]
-    evaluations: int
-
-
-class ChaosCheckpointer:
+class ChaosCheckpointer(_Checkpointer):
     """Periodic snapshots of one :func:`~repro.sim.chaos.chaos_search`.
 
-    Snapshots fire every ``every`` campaign evaluations and carry the
-    strategist's RNG bit-generator state, the generation cursor, the
-    candidate population and the full evaluated-outcome archive (scores
-    and reports hex-float encoded), so a resumed search retraces the
-    uninterrupted search exactly — same proposals, same Pareto frontier,
-    same worst-case digest.
+    Snapshots fire every ``every`` campaign evaluations (default 8) and
+    carry the strategist's RNG bit-generator state, the generation
+    cursor, the candidate population and the full evaluated-outcome
+    archive (scores and reports hex-float encoded), so a resumed search
+    retraces the uninterrupted search exactly — same proposals, same
+    Pareto frontier, same worst-case digest.
     """
 
     kind = "chaos"
+    default_every = 8
 
-    def __init__(self, path: str | Path, every: int = 8) -> None:
-        if every < 1:
-            raise ConfigurationError("every must be >= 1")
-        self.path = Path(path)
-        self.every = int(every)
-        self.saves = 0
-
-    def due(self, evaluations: int) -> bool:
-        """Whether a snapshot is due after ``evaluations`` campaign runs."""
-        return evaluations > 0 and evaluations % self.every == 0
-
-    def config_key(
-        self, *, run_config: Any, search: Any, bounds: Any, judge: Any
-    ) -> str:
+    @staticmethod
+    def config_key(*, run_config: Any, search: Any, bounds: Any, judge: Any) -> str:
         """Digest pinning harness, search shape, bounds and judge."""
         payload = {
             "run": run_config.to_dict(),
@@ -975,60 +706,17 @@ class ChaosCheckpointer:
         }
         return stable_digest(payload)
 
-    def save(
-        self,
-        *,
-        run_config: Any,
-        search: Any,
-        bounds: Any,
-        judge: Any,
-        strategist: Any,
-        generation: int,
-        position: int,
-        population: Sequence[ChaosScenario],
-        outcomes: Sequence[ChaosOutcome],
-        evaluations: int,
-    ) -> Path:
+    def save(self, *, key: str, strategist: Any, state: ChaosResumeState) -> Path:
         """Write one snapshot of the running search (atomic replace)."""
-        key = self.config_key(
-            run_config=run_config, search=search, bounds=bounds, judge=judge
+        return self._write(
+            key, {**encode(state), "strategist": strategist.state_dict()}
         )
-        state = {
-            "strategist": strategist.state_dict(),
-            "generation": int(generation),
-            "position": int(position),
-            "population": [s.to_dict() for s in population],
-            "outcomes": [_enc_outcome(o) for o in outcomes],
-            "evaluations": int(evaluations),
-        }
-        path = save_checkpoint(self.path, self.kind, key, state)
-        self.saves += 1
-        return path
 
-    def load(
-        self,
-        *,
-        run_config: Any,
-        search: Any,
-        bounds: Any,
-        judge: Any,
-        strategist: Any,
-    ) -> ChaosResumeState:
+    def load(self, *, key: str, strategist: Any) -> ChaosResumeState:
         """Validate, restore the strategist RNG, return the decoded state."""
-        key = self.config_key(
-            run_config=run_config, search=search, bounds=bounds, judge=judge
-        )
-        state = load_checkpoint(self.path, self.kind, key)
+        state = self._read(key)
         strategist.load_state(state["strategist"])
-        return ChaosResumeState(
-            generation=int(state["generation"]),
-            position=int(state["position"]),
-            population=[
-                ChaosScenario.from_dict(s) for s in state["population"]
-            ],
-            outcomes=[_dec_outcome(o) for o in state["outcomes"]],
-            evaluations=int(state["evaluations"]),
-        )
+        return decode(ChaosResumeState, state)
 
 
 # -- per-device health state machine -------------------------------------------
@@ -1390,9 +1078,7 @@ __all__ = [
     "RECOVERING",
     "BreakerConfig",
     "CampaignCheckpointer",
-    "CampaignResumeState",
     "ChaosCheckpointer",
-    "ChaosResumeState",
     "DeviceHealth",
     "FleetSupervisor",
     "HealthPolicy",

@@ -19,7 +19,6 @@ from repro.stream.engine import (
     TickResult,
     concat_stream_results,
     run_stream_pool,
-    stream_results_identical,
 )
 from repro.stream.ingest import FrameIngestor
 from repro.stream.twin import ScalarStreamTwin, run_twin
@@ -37,5 +36,4 @@ __all__ = [
     "concat_stream_results",
     "run_stream_pool",
     "run_twin",
-    "stream_results_identical",
 ]

@@ -48,14 +48,15 @@ reference — Python ring buffers, per-sample appends, one
 :class:`~repro.dsp.streaming.CrossingCounter` pass per window.  The SoA
 engine replicates its arithmetic exactly (window sums via a sequential
 row ``cumsum`` whose ``+ 0.0`` restores the zero seed's sign), so
-:func:`stream_results_identical` asserts **bit-identical** per-window
-scores and decisions, NaN-aware, plus equal drop/late counters — the
+:func:`repro.exact.identical` over :meth:`StreamRunResult.canonical`
+holds **bit-identical** per-window scores and decisions, NaN-aware, plus
+equal drop/late counters — the
 contract the ``streaming`` perf stage and CI gate hold the fast path to.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -356,20 +357,20 @@ class StreamRunResult:
         """Windows emitted over the whole run."""
         return int(self.streams.size)
 
+    def canonical(self) -> "StreamRunResult":
+        """This run with its window rows in canonical (stream, window) order.
 
-#: Float columns of :class:`StreamRunResult` (NaN-aware comparison).
-_RESULT_FLOAT_FIELDS = ("scores",)
-#: Integer window/accounting columns (exact comparison).
-_RESULT_INT_FIELDS = (
-    "streams",
-    "indices",
-    "end_seq",
-    "decisions",
-    "accepted_samples",
-    "rejected_samples",
-    "dropped_samples",
-    "skipped_windows",
-)
+        Two runs of the same population are bit-identical exactly when
+        ``repro.exact.identical(a.canonical(), b.canonical())`` holds.
+        """
+        order = _canonical_order(self)
+        return replace(
+            self, **{name: getattr(self, name)[order] for name in _WINDOW_COLUMNS}
+        )
+
+
+#: Per-window columns of :class:`StreamRunResult` (one row per window).
+_WINDOW_COLUMNS = ("streams", "indices", "end_seq", "scores", "decisions")
 
 
 def _canonical_order(result: StreamRunResult) -> np.ndarray:
@@ -379,37 +380,6 @@ def _canonical_order(result: StreamRunResult) -> np.ndarray:
     return np.lexsort((result.indices, result.streams))
 
 
-def stream_results_identical(a: StreamRunResult, b: StreamRunResult) -> bool:
-    """Bit-identity of two stream runs, NaN-aware and order-canonical.
-
-    Window columns are compared in canonical (stream, window index)
-    order; float scores with ``np.array_equal(..., equal_nan=True)``,
-    integer columns and the per-stream drop/late counters exactly.
-    """
-    if a.n_windows != b.n_windows or a.ticks != b.ticks:
-        return False
-    if a.accepted_samples.size != b.accepted_samples.size:
-        return False
-    oa, ob = _canonical_order(a), _canonical_order(b)
-    for name in _RESULT_FLOAT_FIELDS:
-        if not np.array_equal(
-            getattr(a, name)[oa], getattr(b, name)[ob], equal_nan=True
-        ):
-            return False
-    for name in ("streams", "indices", "end_seq", "decisions"):
-        if not np.array_equal(getattr(a, name)[oa], getattr(b, name)[ob]):
-            return False
-    for name in (
-        "accepted_samples",
-        "rejected_samples",
-        "dropped_samples",
-        "skipped_windows",
-    ):
-        if not np.array_equal(getattr(a, name), getattr(b, name)):
-            return False
-    return True
-
-
 def concat_stream_results(
     parts: Sequence[StreamRunResult], offsets: Sequence[int]
 ) -> StreamRunResult:
@@ -417,8 +387,7 @@ def concat_stream_results(
 
     ``offsets[i]`` is the first global stream index of shard ``i``;
     window rows are re-sorted into canonical (stream, window index)
-    order, so the stitched result compares identical to an unsharded run
-    under :func:`stream_results_identical`.
+    order, so the stitched result compares identical to an unsharded run.
     """
     if not parts:
         raise ConfigurationError("need at least one result to concatenate")
@@ -442,11 +411,7 @@ def concat_stream_results(
         skipped_windows=np.concatenate([p.skipped_windows for p in parts]),
         ticks=ticks,
     )
-    order = _canonical_order(merged)
-    for name in _RESULT_FLOAT_FIELDS + ("streams", "indices", "end_seq",
-                                        "decisions"):
-        setattr(merged, name, getattr(merged, name)[order])
-    return merged
+    return merged.canonical()
 
 
 def _ceil_div(a: np.ndarray, b: np.ndarray) -> np.ndarray:

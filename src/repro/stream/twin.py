@@ -5,8 +5,8 @@ specification: one Python ring buffer per stream, per-sample appends,
 and one scalar scoring pass (``backend.score_window``) per due window —
 no ndarray state anywhere on the hot path.  The perf harness times it
 against :class:`~repro.stream.engine.StreamPool` for the tracked
-``streaming.speedup`` ratio, and :func:`~repro.stream.engine.
-stream_results_identical` holds the SoA engine to the twin's results
+``streaming.speedup`` ratio, and :func:`repro.exact.identical` (in
+canonical window order) holds the SoA engine to the twin's results
 bit-for-bit (scores, decisions, window sequencing, and every
 backpressure counter).
 

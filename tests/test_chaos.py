@@ -24,6 +24,7 @@ from repro.eval.chaos import (
     load_chaos_summary,
     write_chaos_summary,
 )
+from repro.exact import canonical_json, digest, stable_digest
 from repro.graph.cuts import sensor_cut
 from repro.hw.wireless import WirelessLink
 from repro.sim.chaos import (
@@ -38,14 +39,11 @@ from repro.sim.chaos import (
     ChaosStrategist,
     assert_replay,
     build_bundle,
-    canonical_json,
     chaos_search,
     load_bundle,
     pareto_worst,
     replay_bundle,
-    report_digest,
     save_bundle,
-    stable_digest,
 )
 from repro.sim.evaluate import evaluate_partition
 from repro.sim.faults import (
@@ -235,7 +233,7 @@ def _outcome(unavail, silent, tail=0.0, battery=0.0, badness=None):
     )
     scenario = ChaosScenario(seed=int(1e6 * (unavail + silent + tail)), n_events=10)
     return ChaosOutcome(
-        scenario=scenario, score=score, report=None, report_digest=None, generation=0
+        scenario=scenario, score=score, report=None, digest=None, generation=0
     )
 
 
@@ -303,7 +301,7 @@ class TestDriverAndReplay:
         for scenario in fixed_mix_scenarios(200, seed=11).values():
             fast = driver.run(scenario, fast=True)
             scalar = driver.run(scenario, fast=False)
-            assert report_digest(fast) == report_digest(scalar)
+            assert digest(fast) == digest(scalar)
 
     def test_bundle_round_trip_and_replay(self, chaos_cfg, tmp_path):
         scenario = fixed_mix_scenarios(200, seed=11)["integrity"]
@@ -343,7 +341,7 @@ class TestDriverAndReplay:
         scenario = ChaosScenario(seed=3, n_events=100)
         report = ChaosDriver(chaos_cfg).run(scenario)
         bundle = build_bundle(scenario, chaos_cfg, report)
-        bundle["expected"]["report_digest"] = "deadbeef" * 8
+        bundle["expected"]["digest"] = "deadbeef" * 8
         with pytest.raises(ReplayMismatchError):
             assert_replay(bundle)
         assert not replay_bundle(bundle).matches
@@ -391,7 +389,7 @@ class TestSearchAcceptance:
         a = chaos_search(chaos_cfg, **kwargs)
         b = chaos_search(chaos_cfg, **kwargs)
         assert a.worst.scenario.key == b.worst.scenario.key
-        assert a.worst.report_digest == b.worst.report_digest
+        assert a.worst.digest == b.worst.digest
         assert [o.scenario.key for o in a.outcomes] == [
             o.scenario.key for o in b.outcomes
         ]

@@ -45,22 +45,6 @@ class TestDomainErrors:
         assert code == 2
         assert _single_error_line(capsys.readouterr()).startswith("error:")
 
-    def test_conflicting_fleet_selectors_return_2(self, capsys):
-        """`perf --stage fleet --no-fleet` must error, not emit an empty report."""
-        code = main(["perf", "--stage", "fleet", "--no-fleet"])
-        assert code == 2
-        err = _single_error_line(capsys.readouterr())
-        assert err.startswith("error:")
-        assert "fleet" in err
-
-    def test_conflicting_streaming_selectors_return_2(self, capsys):
-        """`perf --stage streaming --no-streaming` must error the same way."""
-        code = main(["perf", "--stage", "streaming", "--no-streaming"])
-        assert code == 2
-        err = _single_error_line(capsys.readouterr())
-        assert err.startswith("error:")
-        assert "streaming" in err
-
     def test_missing_replay_bundle_returns_2(self, capsys, tmp_path):
         code = main(["chaos", "--replay", str(tmp_path / "absent.json")])
         assert code == 2

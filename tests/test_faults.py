@@ -193,9 +193,9 @@ class TestCampaignRun:
         assert math.isnan(report.max_latency_s)
         assert math.isnan(report.latency_percentile(99.0))
         # The NaN sentinel survives the digest pipeline (hex float tokens).
-        from repro.sim.chaos import report_digest
+        from repro.exact import digest
 
-        assert report_digest(report) == report_digest(report)
+        assert digest(report) == digest(report)
 
     def test_fallback_engages_and_recovers(self, fault_env):
         simulator, _, fallback = fault_env

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.exact import identical
 from repro.sim.channel import GilbertElliottParams
 from repro.sim.evaluate import PartitionMetrics
 from repro.sim.fleetsoa import (
@@ -19,7 +20,6 @@ from repro.sim.fleetsoa import (
     FleetResult,
     FleetSpec,
     concat_fleet_results,
-    fleet_results_identical,
     simulate_fleet_scalar,
     simulate_fleet_soa,
 )
@@ -52,7 +52,7 @@ LOSSY = GilbertElliottParams(0.05, 0.10, 0.02, 0.7)
 def assert_twins_identical(spec, n_rounds, policy=None):
     scalar = simulate_fleet_scalar(spec, n_rounds, policy=policy)
     soa = simulate_fleet_soa(spec, n_rounds, policy=policy)
-    assert fleet_results_identical(scalar, soa)
+    assert identical(scalar, soa)
     return soa
 
 
@@ -314,7 +314,7 @@ class TestRngOrderPins:
     def test_reruns_are_deterministic(self, pinned_spec):
         a = simulate_fleet_soa(pinned_spec, 4)
         b = simulate_fleet_soa(pinned_spec, 4)
-        assert fleet_results_identical(a, b)
+        assert identical(a, b)
 
     def test_seed_changes_the_outcome(self, pinned_spec):
         other = FleetSpec.homogeneous(
@@ -329,7 +329,7 @@ class TestRngOrderPins:
                 seed=8,
             ),
         )
-        assert not fleet_results_identical(
+        assert not identical(
             simulate_fleet_soa(pinned_spec, 4), simulate_fleet_soa(other, 4)
         )
 
@@ -345,7 +345,7 @@ class TestSliceConcat:
             simulate_fleet_soa(spec.slice_networks(lo, hi), 4)
             for lo, hi in ((0, 2), (2, 3), (3, 5))
         ]
-        assert fleet_results_identical(whole, concat_fleet_results(parts))
+        assert identical(whole, concat_fleet_results(parts))
 
     def test_concat_validation(self):
         cfg = FleetConfig(channel=LOSSY, seed=19)

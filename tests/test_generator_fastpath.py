@@ -18,12 +18,12 @@ import pytest
 from repro.core.generator import AutomaticXProGenerator
 from repro.core.pipeline import TrainingConfig
 from repro.eval.context import ExperimentContext
+from repro.exact import identical
 from repro.graph.cuts import aggregator_cut, sensor_cut
 from repro.graph.stgraph import build_st_graph, build_st_graph_template
 from repro.hw.aggregator import AggregatorCPU
 from repro.hw.energy import EnergyLibrary
 from repro.hw.wireless import WirelessLink
-from repro.sim.evaluate import metrics_identical
 from repro.signals.datasets import CASE_ORDER
 
 from tests.test_stgraph_properties import _random_topology
@@ -57,7 +57,7 @@ def _generators(topology, lib, link):
 
 def _assert_same_result(cold_result, warm_result):
     assert cold_result.partition == warm_result.partition
-    assert metrics_identical(cold_result.metrics, warm_result.metrics)
+    assert identical(cold_result.metrics, warm_result.metrics)
     assert cold_result.delay_limit_s == warm_result.delay_limit_s
     assert cold_result.candidates_evaluated == warm_result.candidates_evaluated
 
@@ -188,7 +188,7 @@ def test_evaluation_memo_hits_and_invalidation(paper_context):
     assert gen.template is None
     assert len(gen.evaluation_cache) == 0
     third = gen.evaluate(cut)
-    assert not metrics_identical(first, third), (
+    assert not identical(first, third), (
         "a different energy library must produce different metrics"
     )
 
@@ -205,7 +205,7 @@ def test_cache_size_zero_disables_memo(paper_context):
     first = gen.evaluate(cut)
     second = gen.evaluate(cut)
     assert first is not second
-    assert metrics_identical(first, second)
+    assert identical(first, second)
     assert len(gen.evaluation_cache) == 0
     assert gen.evaluation_cache.hits == 0
 

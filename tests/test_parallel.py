@@ -8,6 +8,7 @@ import pytest
 
 from repro.core.generator import AutomaticXProGenerator
 from repro.errors import ConfigurationError, SimulationError
+from repro.exact import identical
 from repro.graph.cuts import sensor_cut
 from repro.graph.stgraph import build_st_graph_template
 from repro.hw.arq import ARQConfig
@@ -16,6 +17,7 @@ from repro.sim.channel import GilbertElliottParams
 from repro.sim.evaluate import evaluate_partition
 from repro.sim.faults import BurstLoss, FaultCampaign, LinkOutage, PayloadCorruption
 from repro.sim.multinode import BSNNode, MultiNodeBSN
+from repro.sim import parallel
 from repro.sim.parallel import (
     SERIAL,
     CampaignTask,
@@ -61,24 +63,18 @@ def fleet(metrics_pair):
     return networks
 
 
-def _reports_equal(a, b):
-    """Bitwise report equality that treats NaN sentinels as equal.
-
-    Dropped events record ``latency_s = nan``; ``nan == nan`` is False, so
-    naive ``==`` rejects reports that are byte-identical after the pickle
-    round-trip (in-process, the shared nan object short-circuits on
-    identity).  repr() round-trips floats bit-exactly, so comparing reprs
-    is bit-identity with NaN treated as itself.
-    """
-    return repr(a) == repr(b)
-
-
 def _square(x):
     return x * x
 
 
 def _affine(a, b):
     return 3 * a + b
+
+
+def _nested_affine(a, b):
+    """Sweep target running its own serial sweep with other shared state."""
+    inner = sweep(_affine, {"a": [a]}, SERIAL, shared={"b": 100})
+    return inner[0][1] + b
 
 
 def _priced_cut(template, lam):
@@ -238,25 +234,24 @@ class TestFleetSoaRounds:
         )
 
     def test_serial_process_and_direct_agree(self, soa_spec):
-        from repro.sim.fleetsoa import fleet_results_identical, simulate_fleet_soa
+        from repro.sim.fleetsoa import simulate_fleet_soa
 
         direct = simulate_fleet_soa(soa_spec, 4)
         serial = fleet_soa_rounds(soa_spec, 4, config=SERIAL, shards=3)
         process = fleet_soa_rounds(soa_spec, 4, config=PROCESS, shards=3)
-        assert fleet_results_identical(direct, serial)
-        assert fleet_results_identical(direct, process)
+        assert identical(direct, serial)
+        assert identical(direct, process)
 
     def test_shard_count_does_not_change_the_result(self, soa_spec):
-        from repro.sim.fleetsoa import fleet_results_identical
 
         one = fleet_soa_rounds(soa_spec, 3, config=SERIAL, shards=1)
         many = fleet_soa_rounds(soa_spec, 3, config=SERIAL, shards=6)
         oversubscribed = fleet_soa_rounds(soa_spec, 3, config=SERIAL, shards=50)
-        assert fleet_results_identical(one, many)
-        assert fleet_results_identical(one, oversubscribed)
+        assert identical(one, many)
+        assert identical(one, oversubscribed)
 
     def test_supervised_fanout_identical(self, soa_spec):
-        from repro.sim.fleetsoa import fleet_results_identical, simulate_fleet_soa
+        from repro.sim.fleetsoa import simulate_fleet_soa
         from repro.sim.supervise import HealthPolicy
 
         policy = HealthPolicy(
@@ -268,7 +263,7 @@ class TestFleetSoaRounds:
         sharded = fleet_soa_rounds(
             soa_spec, 6, policy=policy, config=PROCESS, shards=3
         )
-        assert fleet_results_identical(direct, sharded)
+        assert identical(direct, sharded)
         assert direct.health is not None
 
     def test_empty_fleet_short_circuits(self, soa_spec):
@@ -304,7 +299,7 @@ class TestStreamSoaWindows:
 
     def test_serial_process_and_direct_agree(self, stream_case):
         from repro.sim.parallel import stream_soa_windows
-        from repro.stream import run_stream_pool, stream_results_identical
+        from repro.stream import run_stream_pool
 
         spec, backend, samples = stream_case
         direct = run_stream_pool(spec, backend, samples, 16)
@@ -314,12 +309,11 @@ class TestStreamSoaWindows:
         process = stream_soa_windows(
             spec, backend, samples, 16, config=PROCESS, shards=3
         )
-        assert stream_results_identical(direct, serial)
-        assert stream_results_identical(direct, process)
+        assert identical(direct.canonical(), serial.canonical())
+        assert identical(direct.canonical(), process.canonical())
 
     def test_shard_count_does_not_change_the_result(self, stream_case):
         from repro.sim.parallel import stream_soa_windows
-        from repro.stream import stream_results_identical
 
         spec, backend, samples = stream_case
         one = stream_soa_windows(
@@ -331,12 +325,12 @@ class TestStreamSoaWindows:
         oversubscribed = stream_soa_windows(
             spec, backend, samples, 16, config=SERIAL, shards=50
         )
-        assert stream_results_identical(one, many)
-        assert stream_results_identical(one, oversubscribed)
+        assert identical(one.canonical(), many.canonical())
+        assert identical(one.canonical(), oversubscribed.canonical())
 
     def test_backpressure_policies_shard_identically(self, stream_case):
         from repro.sim.parallel import stream_soa_windows
-        from repro.stream import run_stream_pool, stream_results_identical
+        from repro.stream import run_stream_pool
 
         spec, backend, samples = stream_case
         for policy in ("skip_stale", "drop_new"):
@@ -345,7 +339,7 @@ class TestStreamSoaWindows:
                 spec, backend, samples, 40, policy=policy,
                 config=SERIAL, shards=4,
             )
-            assert stream_results_identical(direct, sharded)
+            assert identical(direct.canonical(), sharded.canonical())
 
     def test_validation(self, stream_case):
         from repro.sim.parallel import stream_soa_windows
@@ -391,12 +385,12 @@ class TestCampaigns:
     def test_reports_identical_serial_vs_process(self, metrics_pair):
         serial = run_campaigns(self._tasks(metrics_pair), SERIAL)
         parallel = run_campaigns(self._tasks(metrics_pair), PROCESS)
-        assert _reports_equal(serial, parallel)
+        assert identical(serial, parallel)
 
     def test_rerun_is_reproducible(self, metrics_pair):
         first = run_campaigns(self._tasks(metrics_pair), PROCESS)
         second = run_campaigns(self._tasks(metrics_pair), PROCESS)
-        assert _reports_equal(first, second)
+        assert identical(first, second)
 
 
 class TestSweep:
@@ -415,6 +409,13 @@ class TestSweep:
     def test_empty_grid_rejected(self):
         with pytest.raises(ConfigurationError):
             sweep(_affine, {}, SERIAL)
+
+    def test_nested_sweep_keeps_outer_shared_state(self):
+        """The shared slot is restored after every fan-out: a nested serial
+        sweep neither clobbers its caller's state nor leaks its own."""
+        results = sweep(_nested_affine, {"a": [1, 2, 3]}, SERIAL, shared={"b": 7})
+        assert [value for _, value in results] == [3 * a + 100 + 7 for a in (1, 2, 3)]
+        assert parallel._SHARED == {}
 
 
 class TestSweepShared:
@@ -436,7 +437,7 @@ class TestSweepShared:
         grid = {"lam": [lam0 * f for f in (0.0, 0.02, 0.1, 0.5, 1.0, 4.0)]}
         serial = sweep(_priced_cut, grid, SERIAL, shared={"template": template})
         process = sweep(_priced_cut, grid, PROCESS, shared={"template": template})
-        assert repr(serial) == repr(process)
+        assert identical(serial, process)
         # Same values a plain in-process loop over the ladder produces.
         expected = [_priced_cut(template=template, lam=lam) for lam in grid["lam"]]
         assert [value for _, value in serial] == expected

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.exact import identical
 from repro.hw.framing import FramingConfig, encode_frames, encode_values
 from repro.stream import (
     BACKPRESSURE_POLICIES,
@@ -28,7 +29,6 @@ from repro.stream import (
     concat_stream_results,
     run_stream_pool,
     run_twin,
-    stream_results_identical,
 )
 
 
@@ -177,7 +177,7 @@ class TestSoaTwinIdentity:
         soa = run_stream_pool(
             spec, MomentsBackend(), samples, tick_samples, policy
         )
-        assert stream_results_identical(twin, soa)
+        assert identical(twin.canonical(), soa.canonical())
         assert np.array_equal(twin.decisions, soa.decisions)
 
     @given(st.integers(0, 2**32 - 1))
@@ -192,7 +192,7 @@ class TestSoaTwinIdentity:
         for policy in BACKPRESSURE_POLICIES:
             twin = run_twin(spec, MomentsBackend(), samples, 40, policy)
             soa = run_stream_pool(spec, MomentsBackend(), samples, 40, policy)
-            assert stream_results_identical(twin, soa)
+            assert identical(twin.canonical(), soa.canonical())
 
     def test_nan_bursts_identical(self):
         rng = np.random.default_rng(11)
@@ -201,7 +201,7 @@ class TestSoaTwinIdentity:
         samples[::2, ::5] = np.nan
         twin = run_twin(spec, MomentsBackend(), samples, 7)
         soa = run_stream_pool(spec, MomentsBackend(), samples, 7)
-        assert stream_results_identical(twin, soa)
+        assert identical(twin.canonical(), soa.canonical())
         assert twin.rejected_samples.sum() > 0
 
     def test_per_sample_api_matches_chunked_api(self):
@@ -216,7 +216,7 @@ class TestSoaTwinIdentity:
                 for s in range(5):
                     pool.append(s, samples[s, j])
             outs.append(pool.tick())
-        assert stream_results_identical(chunked, pool.result_from(outs))
+        assert identical(chunked.canonical(), pool.result_from(outs).canonical())
 
     def test_results_identical_rejects_differences(self):
         rng = np.random.default_rng(13)
@@ -224,9 +224,9 @@ class TestSoaTwinIdentity:
         samples = rng.normal(0.0, 1.0, (3, 50))
         a = run_stream_pool(spec, MomentsBackend(), samples, 10)
         b = run_stream_pool(spec, MomentsBackend(), samples, 10)
-        assert stream_results_identical(a, b)
+        assert identical(a.canonical(), b.canonical())
         b.scores[0] += 1e-12
-        assert not stream_results_identical(a, b)
+        assert not identical(a.canonical(), b.canonical())
 
     def test_concat_matches_unsharded(self):
         rng = np.random.default_rng(14)
@@ -242,7 +242,7 @@ class TestSoaTwinIdentity:
             for lo, hi in bounds
         ]
         stitched = concat_stream_results(parts, [lo for lo, _ in bounds])
-        assert stream_results_identical(whole, stitched)
+        assert identical(whole.canonical(), stitched.canonical())
 
 
 class TestEngineBackend:
@@ -275,7 +275,7 @@ class TestEngineBackend:
         twin = run_twin(spec, backend, samples, 37)
         soa = run_stream_pool(spec, backend, samples, 37)
         assert soa.n_windows > 0
-        assert stream_results_identical(twin, soa)
+        assert identical(twin.canonical(), soa.canonical())
 
     def test_rejects_mismatched_window_grid(self, tiny_engine):
         length = tiny_engine.layout.segment_length

@@ -24,13 +24,13 @@ import pytest
 
 from repro.core.degrade import GracefulDegradationPolicy, LastKnownGoodCache
 from repro.errors import CheckpointError, ConfigurationError
+from repro.exact import digest, identical
 from repro.hw.arq import ARQConfig
 from repro.sim.channel import GilbertElliottParams
 from repro.sim.chaos import (
     ChaosRunConfig,
     ChaosSearchConfig,
     chaos_search,
-    report_digest,
 )
 from repro.sim.evaluate import PartitionMetrics
 from repro.sim.faults import (
@@ -40,7 +40,6 @@ from repro.sim.faults import (
     DecisionRecord,
     FaultCampaign,
     LinkOutage,
-    reports_identical,
 )
 from repro.sim.parallel import ParallelConfig, sweep
 from repro.sim.simulator import CrossEndSimulator
@@ -270,8 +269,8 @@ class TestBreakerInCampaign:
         brk_fast, brk_scalar = LinkCircuitBreaker(cfg), LinkCircuitBreaker(cfg)
         fast = self.run(True, breaker=brk_fast)
         scalar = self.run(False, breaker=brk_scalar)
-        assert reports_identical(fast, scalar)
-        assert report_digest(fast) == report_digest(scalar)
+        assert identical(fast, scalar)
+        assert digest(fast) == digest(scalar)
         assert brk_fast.state_dict() == brk_scalar.state_dict()
         assert brk_fast.opens >= 1
         assert brk_fast.blocked_events > 0
@@ -362,8 +361,8 @@ class TestCampaignResume:
         with pytest.raises(_AbortAfterSave):
             run(_InterruptingCampaignCheckpointer(path, every=77))
         resumed = run(CampaignCheckpointer(path, every=77), resume=True)
-        assert reports_identical(reference, resumed)
-        assert report_digest(reference) == report_digest(resumed)
+        assert identical(reference, resumed)
+        assert digest(reference) == digest(resumed)
 
     def test_resume_needs_a_checkpointer(self):
         with pytest.raises(ConfigurationError, match="resume"):
@@ -395,6 +394,11 @@ class TestCampaignResume:
 def _square(x=0, y=0, weight=1.0):
     """Module-level sweep target (workers import it by qualified name)."""
     return weight * (x * x + y)
+
+
+def _float_pair(x=0):
+    """Module-level sweep target returning a container, not a dataclass."""
+    return [float(x), -0.0]
 
 
 class TestSweepResume:
@@ -443,6 +447,41 @@ class TestSweepResume:
                 checkpoint=SweepCheckpointer(path, every=2), resume=True,
             )
 
+    def test_dataclass_values_resume_exactly(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        grid = {"sensor_tx_j": [0.0, -0.0, 1e-6], "crossing_bits_up": [16, 32]}
+        serial = ParallelConfig(backend="serial")
+        reference = sweep(synthetic_metrics, grid, config=serial)
+        sweep(synthetic_metrics, grid, config=serial,
+              checkpoint=SweepCheckpointer(path, every=2))
+        doc = json.loads(path.read_text())
+        kept = {k: doc["state"]["done"][k] for k in ("0", "1", "4")}
+        save_checkpoint(path, "sweep", doc["config_key"], {"done": kept})
+        resumed = sweep(
+            synthetic_metrics, grid, config=serial,
+            checkpoint=SweepCheckpointer(path, every=2), resume=True,
+        )
+        assert identical(resumed, reference)
+
+    def test_unimportable_value_type_rejected(self, tmp_path):
+        path = tmp_path / "sweep.json"
+        sweep(_square, self.GRID, config=ParallelConfig(backend="serial"),
+              checkpoint=SweepCheckpointer(path, every=8))
+        doc = json.loads(path.read_text())
+        done = {k: ["repro.gone.Result", v[1]] for k, v in doc["state"]["done"].items()}
+        save_checkpoint(path, "sweep", doc["config_key"], {"done": done})
+        with pytest.raises(CheckpointError, match="cannot be imported"):
+            sweep(_square, self.GRID, config=ParallelConfig(backend="serial"),
+                  checkpoint=SweepCheckpointer(path, every=8), resume=True)
+
+    def test_container_value_rejected(self, tmp_path):
+        with pytest.raises(CheckpointError, match="not checkpoint-safe"):
+            sweep(
+                _float_pair, {"x": [1, 2]},
+                config=ParallelConfig(backend="serial"),
+                checkpoint=SweepCheckpointer(tmp_path / "sweep.json"),
+            )
+
 
 class _InterruptingChaosCheckpointer(ChaosCheckpointer):
     """Chaos checkpointer that aborts the search after its first save."""
@@ -480,7 +519,7 @@ class TestChaosResume:
         )
         assert resumed.evaluations == reference.evaluations
         assert resumed.worst.scenario.key == reference.worst.scenario.key
-        assert resumed.worst.report_digest == reference.worst.report_digest
+        assert resumed.worst.digest == reference.worst.digest
         assert len(resumed.frontier) == len(reference.frontier)
 
     def test_resume_rejects_different_search_shape(self, tmp_path):
@@ -740,5 +779,5 @@ class TestKillAndResume:
 
         resumed = run(CampaignCheckpointer(path, every=60), resume=True)
         reference = run()
-        assert reports_identical(reference, resumed)
-        assert report_digest(reference) == report_digest(resumed)
+        assert identical(reference, resumed)
+        assert digest(reference) == digest(resumed)

@@ -4,7 +4,7 @@ The fast training engine (fold-sliced shared Grams + the cached-error
 screened SMO) promises *bitwise* identity to the pinned reference
 protocol.  These tests pin that contract at every layer: single-SVM
 fast-vs-reference identity, Gram slice stability, serial-vs-parallel
-ensemble identity on all six Table-1 cases, seed-mode derivation and the
+ensemble identity on all six Table-1 cases, the legacy seed streams and the
 degenerate edges of the fast path.
 """
 
@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError, TrainingError
+from repro.exact import identical
 from repro.ml.kernels import LinearKernel, RBFKernel
-from repro.ml.subspace import RandomSubspaceClassifier, build_subspace_classifier
+from repro.ml.subspace import RandomSubspaceClassifier
 from repro.ml.svm import SVMClassifier
 from repro.ml.validation import repeated_protocol
 from repro.sim.parallel import ParallelConfig
@@ -31,26 +32,14 @@ def _fitted_state(svm: SVMClassifier):
     )
 
 
-def _svms_identical(a: SVMClassifier, b: SVMClassifier) -> bool:
-    sa, sb = _fitted_state(a), _fitted_state(b)
+def _ensemble_state(ensemble):
     return (
-        np.array_equal(sa[0], sb[0])
-        and np.array_equal(sa[1], sb[1])
-        and sa[2] == sb[2]
-        and np.array_equal(sa[3], sb[3])
+        [
+            (m.feature_indices, _fitted_state(m.classifier), m.validation_accuracy)
+            for m in ensemble.members
+        ],
+        ensemble.used_feature_indices(),
     )
-
-
-def _ensembles_identical(a, b) -> bool:
-    if [m.feature_indices for m in a.members] != [
-        m.feature_indices for m in b.members
-    ]:
-        return False
-    return all(
-        _svms_identical(ma.classifier, mb.classifier)
-        and ma.validation_accuracy == mb.validation_accuracy
-        for ma, mb in zip(a.members, b.members)
-    ) and a.used_feature_indices() == b.used_feature_indices()
 
 
 def _separable_data(rng: np.random.Generator, n: int, d: int):
@@ -79,7 +68,7 @@ class TestFastSMOIdentity:
         seed = int(rng.integers(0, 10_000))
         ref = SVMClassifier(kernel=kernel, C=c_val, seed=seed).fit_reference(X, y)
         fast = SVMClassifier(kernel=kernel, C=c_val, seed=seed).fit(X, y)
-        assert _svms_identical(ref, fast)
+        assert identical(_fitted_state(ref), _fitted_state(fast))
 
     @settings(max_examples=15, deadline=None)
     @given(data_seed=st.integers(0, 2**32 - 1))
@@ -92,7 +81,7 @@ class TestFastSMOIdentity:
         injected = SVMClassifier(kernel=kernel, C=1.0, seed=3).fit(
             X, y, gram=kernel.training_gram(X, X)
         )
-        assert _svms_identical(plain, injected)
+        assert identical(_fitted_state(plain), _fitted_state(injected))
 
     def test_injected_gram_shape_validated(self):
         rng = np.random.default_rng(0)
@@ -112,7 +101,7 @@ class TestFastSMOIdentity:
         y = np.array([0, 1, 0, 1, 0, 1])
         ref = SVMClassifier(seed=9).fit_reference(X, y)
         fast = SVMClassifier(seed=9).fit(X, y)
-        assert _svms_identical(ref, fast)
+        assert identical(_fitted_state(ref), _fitted_state(fast))
         assert fast.n_support_vectors == 1
         assert fast.predict(np.zeros((2, 3))) is not None
 
@@ -295,7 +284,7 @@ class TestEnsembleIdentity:
 
         ref = make().fit(X, y, fast=False)
         fast = make().fit(X, y)
-        assert _ensembles_identical(ref, fast)
+        assert identical(_ensemble_state(ref), _ensemble_state(fast))
         assert np.array_equal(ref.predict(X), fast.predict(X))
 
     @pytest.mark.parametrize("symbol", CASE_ORDER)
@@ -317,7 +306,7 @@ class TestEnsembleIdentity:
         parallel = make().fit(
             X, y, parallel=ParallelConfig(max_workers=2, chunksize=2)
         )
-        assert _ensembles_identical(serial, parallel)
+        assert identical(_ensemble_state(serial), _ensemble_state(parallel))
         assert np.array_equal(serial.predict(X), parallel.predict(X))
 
     def test_holdout_protocol_identity(self, case_features):
@@ -333,7 +322,10 @@ class TestEnsembleIdentity:
                 seed=31,
             )
 
-        assert _ensembles_identical(make().fit(X, y, fast=False), make().fit(X, y))
+        assert identical(
+            _ensemble_state(make().fit(X, y, fast=False)),
+            _ensemble_state(make().fit(X, y)),
+        )
 
     def test_parallel_requires_fast_path(self, case_features):
         X, y = case_features["C1"]
@@ -345,33 +337,10 @@ class TestEnsembleIdentity:
 class TestSeedModes:
     def test_legacy_streams_collide(self):
         """The documented legacy collision: draw 31's member seed equals
-        draw 1's fold seed (kept, by default, for stream compatibility)."""
+        draw 1's fold seed (kept for stream compatibility)."""
         clf = RandomSubspaceClassifier(n_features=20, n_draws=32, seed=42)
         seeds = clf._draw_seeds()
         assert seeds[31][0] == seeds[1][1]
-
-    def test_spawn_mode_collision_free(self):
-        clf = RandomSubspaceClassifier(
-            n_features=20, n_draws=64, seed=42, seed_mode="spawn"
-        )
-        seeds = clf._draw_seeds()
-        flat = [w for pair in seeds for w in pair]
-        assert len(set(flat)) == len(flat)
-
-    def test_unknown_seed_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            RandomSubspaceClassifier(n_features=10, seed_mode="bogus")
-
-    def test_spawn_mode_trains(self, case_features):
-        X, y = case_features["C1"]
-        clf = build_subspace_classifier(
-            X.shape[1],
-            {"subspace_dim": 6, "n_draws": 3, "keep_fraction": 0.5},
-            seed=5,
-            seed_mode="spawn",
-        )
-        clf.fit(X, y)
-        assert clf.is_fitted
 
 
 class TestRepeatedProtocol:

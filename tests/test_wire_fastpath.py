@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.dsp.fixedpoint import FixedPointFormat, Q16_16
 from repro.errors import ConfigurationError, IntegrityError, SimulationError
+from repro.exact import identical
 from repro.hw.arq import ARQConfig
 from repro.hw.framing import (
     FramingConfig,
@@ -43,7 +44,6 @@ from repro.sim.faults import (
     LinkOutage,
     PayloadCorruption,
     SensorBrownout,
-    reports_identical,
 )
 from repro.sim.simulator import CrossEndSimulator
 
@@ -375,7 +375,7 @@ class TestCampaignFastPath:
         campaign = resilience_mix(400)
         slow = campaign.run(self.simulator(), 400, arq=self.arq, fast=False)
         fast = campaign.run(self.simulator(), 400, arq=self.arq, fast=True)
-        assert reports_identical(slow, fast)
+        assert identical(slow, fast)
 
     def test_unbounded_divergence_message_identical(self):
         campaign = resilience_mix(400)
@@ -409,7 +409,7 @@ class TestCampaignFastPath:
             self.simulator(), 300, arq=self.arq, integrity=integrity,
             fast=True,
         )
-        assert reports_identical(slow, fast)
+        assert identical(slow, fast)
         assert slow.frames_sent > 0
 
     def test_erasure_integrity_mix_identical(self):
@@ -429,7 +429,7 @@ class TestCampaignFastPath:
             self.simulator(), 300, arq=self.arq, integrity=integrity,
             fast=True,
         )
-        assert reports_identical(slow, fast)
+        assert identical(slow, fast)
 
     def test_reports_identical_is_nan_aware(self):
         campaign = resilience_mix(200, seed=5)
@@ -438,10 +438,10 @@ class TestCampaignFastPath:
         assert any(
             r.latency_s != r.latency_s for r in a.records
         ), "expected dropped events with NaN latency in this mix"
-        assert reports_identical(a, b)
+        assert identical(a, b)
         other = resilience_mix(200, seed=6)
         c = other.run(self.simulator(), 200, arq=self.arq)
-        assert not reports_identical(a, c)
+        assert not identical(a, c)
 
 
 class TestPayloadBitsBatch:
