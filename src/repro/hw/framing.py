@@ -106,6 +106,23 @@ def crc16_ccitt(data: bytes, init: int = 0xFFFF) -> int:
 _CRC16_TABLE_NP = np.asarray(_CRC16_TABLE, dtype=np.uint16)
 
 
+def _crc16_pair_table() -> np.ndarray:
+    """Register after two zero bytes, for every 16-bit register value.
+
+    One byte step is ``g(reg ^ byte << 8)``, ``g`` the zero-byte step.
+    ``g`` is linear and ``g(b) == b << 8`` for a byte ``b``, so two steps
+    over bytes ``b1, b2`` are ``g(g(reg ^ (b1 << 8 | b2)))``: one lookup
+    in this table.  By linearity, entry ``hi << 8 | lo`` is
+    ``g(g(hi << 8)) ^ g(g(lo))``, and ``g(g(lo))`` is ``T[lo]``.
+    """
+    table = _CRC16_TABLE_NP
+    high = (table << np.uint16(8)) ^ table[table >> np.uint16(8)]
+    return (high[:, None] ^ table[None, :]).ravel()
+
+
+_CRC16_PAIR_TABLE = _crc16_pair_table()
+
+
 def pack_byte_rows(rows: Sequence[bytes]) -> Tuple[np.ndarray, np.ndarray]:
     """Pack byte strings into a zero-padded ``(n, max_len)`` uint8 matrix.
 
@@ -141,10 +158,14 @@ def batch_crc16_ccitt(
     """CRC-16/CCITT-FALSE of N byte strings at once.
 
     Row ``i`` of the result equals ``crc16_ccitt(frames[i][:lengths[i]])``
-    bit-for-bit.  The loop runs over *byte position* (bounded by the
-    longest frame) while every CRC register update is vectorised across
-    frames through the table as a uint16 lookup array — the transpose of
-    the scalar loop, which walks bytes within one frame.
+    bit-for-bit.  The loop runs over *byte-pair position* (bounded by the
+    longest frame) while every register update is vectorised across
+    frames — the transpose of the scalar loop, which walks bytes within
+    one frame.  CRC-16 is linear, so two byte steps are one lookup,
+    ``reg = T2[reg ^ word]``, in a 65536-entry table over big-endian byte
+    pairs.  Pairs up to the shortest frame update every row; past it,
+    rows whose frame has ended keep their register.  One single-byte
+    step finishes the rows of odd length.
 
     Args:
         frames: ``(n, max_len)`` uint8 matrix (rows padded past their
@@ -170,11 +191,22 @@ def batch_crc16_ccitt(
         if lengths.min(initial=0) < 0 or lengths.max(initial=0) > max_len:
             raise ConfigurationError("frame lengths must be in [0, max_len]")
     crc = np.full(n, init & 0xFFFF, dtype=np.uint16)
-    limit = int(lengths.max(initial=0))
-    for pos in range(limit):
-        active = pos < lengths
-        idx = ((crc >> np.uint16(8)) ^ matrix[:, pos]) & np.uint16(0xFF)
-        crc = np.where(active, (crc << np.uint16(8)) ^ _CRC16_TABLE_NP[idx], crc)
+    pairs = lengths // 2
+    n_pairs = int(pairs.max(initial=0))
+    shared = int(pairs.min()) if n else 0
+    words = matrix[:, : 2 * n_pairs].view(">u2")
+    idx = np.empty(n, dtype=np.intp)
+    for pos in range(n_pairs):
+        np.bitwise_xor(crc, words[:, pos], out=idx)
+        if pos < shared:
+            np.take(_CRC16_PAIR_TABLE, idx, out=crc)
+        else:
+            np.copyto(crc, _CRC16_PAIR_TABLE[idx], where=pos < pairs)
+    odd = np.flatnonzero(lengths % 2)
+    if odd.size:
+        reg = crc[odd]
+        byte = matrix[odd, lengths[odd] - 1]
+        crc[odd] = (reg << np.uint16(8)) ^ _CRC16_TABLE_NP[(reg >> np.uint16(8)) ^ byte]
     return crc
 
 

@@ -46,8 +46,9 @@ Equivalence contract
 reference — Python ring buffers, per-sample appends, one
 :class:`~repro.dsp.streaming.StreamingMoments` /
 :class:`~repro.dsp.streaming.CrossingCounter` pass per window.  The SoA
-engine replicates its arithmetic exactly (window sums via a sequential
-row ``cumsum`` whose ``+ 0.0`` restores the zero seed's sign), so
+engine replicates its arithmetic exactly (window sums added sample by
+sample across a window-minor batch, ``+ 0.0`` restoring the zero seed's
+sign), so
 :func:`repro.exact.identical` over :meth:`StreamRunResult.canonical`
 holds **bit-identical** per-window scores and decisions, NaN-aware, plus
 equal drop/late counters — the
@@ -203,13 +204,19 @@ class MomentsBackend:
     :class:`~repro.dsp.streaming.StreamingMoments` and
     :class:`~repro.dsp.streaming.CrossingCounter` one sample at a time —
     the true pre-SoA streaming shape.  The batched path
-    (:meth:`score_matrix`) computes the same raw power sums for every
-    window row with a sequential row ``cumsum`` (plus ``+ 0.0`` for the
-    zero seed's sign, so an all-``-0.0`` row sums to ``+0.0`` as in the
-    loop), the same degenerate-variance guard, and counts crossings with
-    :func:`~repro.dsp.features.crossing_counts`, whose zero-carry rule is
-    the counter's — so scores and decisions are bit-identical to the
-    scalar path, the sign of a zero score included.
+    (:meth:`score_matrix`) transposes the batch once to a window-minor
+    ``(length, n_windows)`` array and adds its rows in sample order, each
+    add vectorised across windows, so every window's power sums take the
+    scalar loop's additions in the loop's order (``+ 0.0`` on the first
+    row gives the zero seed's sign, so an all-``-0.0`` window sums to
+    ``+0.0`` as in the loop).  The loop over rows is explicit: a numpy
+    reduction adds in order only while it has two or more windows to
+    vectorise across, and sums a lone window pairwise.  Extrema and the
+    ``x > level`` crossing test run along the same axis, and
+    :func:`~repro.dsp.features.crossing_counts` (the counter's zero-carry
+    rule) runs only on windows holding a sample equal to their level.
+    Scores and decisions are therefore bit-identical to the scalar path,
+    the sign of a zero score included.
 
     The decision rule is a fixed linear fusion of ``mean``, ``std``,
     ``max - min`` and the crossing count: ``decision = 1`` iff the fused
@@ -251,13 +258,15 @@ class MomentsBackend:
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Score a ``(n_windows, length)`` batch in one vectorised pass."""
         n = matrix.shape[1]
-        # Row cumsums add in the scalar update loop's order.  The loop
-        # starts from +0.0, so an all-(-0.0) row sums to +0.0 there; `+ 0.0`
-        # maps the cumsum's -0.0 to it and leaves every other sum as is.
-        # Squares are never -0.0, so s2 needs no such step.
-        acc = np.cumsum(matrix, axis=1)
-        s1 = acc[:, -1] + 0.0
-        s2 = np.cumsum(np.multiply(matrix, matrix, out=acc), axis=1, out=acc)[:, -1]
+        t = np.ascontiguousarray(matrix.T)
+        # Row j of `t` is sample j of every window.  `+ 0.0` maps a -0.0
+        # first sample to the loop's +0.0 seed sum; squares are never -0.0.
+        s1 = t[0] + 0.0
+        s2 = t[0] * t[0]
+        sq = np.empty_like(s1)
+        for row in t[1:]:
+            s1 += row
+            s2 += np.multiply(row, row, out=sq)
         mean = s1 / n
         e2 = s2 / n
         var = e2 - mean * mean
@@ -265,9 +274,19 @@ class MomentsBackend:
         noise_floor = np.maximum(1e-12, 1e-12 * n * np.abs(e2))
         var = np.where(var <= noise_floor, 0.0, var)
         std = np.sqrt(np.maximum(var, 0.0))
-        mx = matrix.max(axis=1)
-        mn = matrix.min(axis=1)
-        crossings = crossing_counts(matrix - levels[:, None])
+        mx = t.max(axis=0)
+        mn = t.min(axis=0)
+        # `x > level` is `x - level > 0` exactly (a difference of finite
+        # doubles is zero only when they are equal), so only windows with
+        # a sample on their level, or a NaN, need the zero-carry rule.
+        positive = t > levels
+        # int32 counts: exact below 2**31 samples, and a faster reduction.
+        crossings = np.add.reduce(positive[1:] != positive[:-1], axis=0,
+                                  dtype=np.int32)
+        signed = positive | (t < levels)
+        if not signed.all():
+            tied = np.flatnonzero(~signed.all(axis=0))
+            crossings[tied] = crossing_counts(matrix[tied] - levels[tied, None])
         score = _fuse_score(self, mean, std, mx - mn, crossings)
         return score, (score > 0.0).astype(np.int64)
 
@@ -521,7 +540,7 @@ class StreamPool:
         # Only the freshest `capacity` samples survive the wrap.
         kept = min(n_new, c)
         pos = (int(self.written[stream]) + n_new - kept + np.arange(kept)) % c
-        self._write(np.full(kept, stream), pos, vals[-kept:])
+        self._write(stream * self._ring.shape[1] + pos, pos, vals[-kept:])
         self.written[stream] += n_new
         self.accepted_samples[stream] += n_new
         if self.policy == "skip_stale":
@@ -533,33 +552,16 @@ class StreamPool:
 
         ``block`` is ``(n_streams, k)``: sample column ``j`` arrives at
         every stream before column ``j + 1`` (the fixed-rate fan-in
-        shape).  The all-finite, capacity-clean case is one vectorised
-        ring scatter; anything else is one :meth:`extend_ragged` call.
-        Both are identical to per-stream :meth:`extend` calls.
+        shape).  One :meth:`extend_ragged` call with ``k`` samples per
+        stream, so identical to per-stream :meth:`extend` calls.
         """
         x = np.asarray(block, dtype=np.float64)
         if x.ndim != 2 or x.shape[0] != self.n_streams:
             raise ConfigurationError(
                 f"block must be ({self.n_streams}, k), got {x.shape}"
             )
-        k = x.shape[1]
-        if k == 0:
-            return 0
-        c = self.spec.capacity
-        clean = bool(np.isfinite(x).all()) and k <= c
-        if clean and self.policy == "drop_new":
-            pending = self.written - self.emitted * self.spec.hops
-            clean = bool((c - pending >= k).all())
-        if not clean:
-            counts = np.full(self.n_streams, k, dtype=np.int64)
-            return int(self.extend_ragged(counts, x.ravel()).sum())
-        cols = (self.written[:, None] + np.arange(k)[None, :]) % c
-        self._write(np.repeat(np.arange(self.n_streams), k), cols.ravel(), x.ravel())
-        self.written += k
-        self.accepted_samples += k
-        if self.policy == "skip_stale":
-            self._advance_stale()
-        return int(self.n_streams) * k
+        counts = np.full(self.n_streams, x.shape[1], dtype=np.int64)
+        return int(self.extend_ragged(counts, x.ravel()).sum())
 
     def extend_ragged(self, counts: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Accept one chunk per stream, of any lengths, in one pass.
@@ -574,11 +576,16 @@ class StreamPool:
         rest; only the last ``capacity`` accepted samples per stream reach
         the ring; under ``skip_stale`` evicted windows are skipped.
 
+        The ring write is one flat scatter (plus its mirror, see
+        :meth:`_write`).  When every sample is finite and every stream
+        keeps its whole chunk, ``values`` is written as it is; otherwise
+        the kept samples are gathered first.
+
         Returns:
             Accepted samples per stream, shape ``(n_streams,)``.
         """
         n = self.n_streams
-        counts = np.asarray(counts, dtype=np.int64)
+        counts = np.array(counts, dtype=np.int64)  # a copy: may be returned
         x = np.asarray(values, dtype=np.float64).ravel()
         if counts.shape != (n,) or (n and int(counts.min()) < 0):
             raise ConfigurationError(
@@ -589,11 +596,15 @@ class StreamPool:
             raise ConfigurationError(
                 f"counts sum to {int(counts.sum())} but {x.size} values given"
             )
-        owner = np.repeat(np.arange(n, dtype=np.int64), counts)
         finite = np.isfinite(x)
-        owner, x = owner[finite], x[finite]
-        offered = np.bincount(owner, minlength=n)
-        self.rejected_samples += counts - offered
+        if finite.all():
+            offered = counts
+        else:
+            offered = np.bincount(
+                np.repeat(np.arange(n), counts)[finite], minlength=n
+            )
+            x = x[finite]
+            self.rejected_samples += counts - offered
         c = self.spec.capacity
         if self.policy == "drop_new":
             room = c - (self.written - self.emitted * self.spec.hops)
@@ -601,26 +612,36 @@ class StreamPool:
             self.dropped_samples += offered - taken
         else:
             taken = offered
-        # Rank of each sample in its stream's finite run; keep the accepted
-        # prefix, and of that only the last `capacity` (earlier ones would
-        # be overwritten in the ring anyway).
-        rank = np.arange(x.size) - np.repeat(np.cumsum(offered) - offered, offered)
-        keep = (rank < taken[owner]) & (rank >= taken[owner] - c)
-        owner, rank = owner[keep], rank[keep]
-        self._write(owner, (self.written[owner] + rank) % c, x[keep])
+        # Of each stream's accepted prefix only the last `capacity`
+        # samples reach the ring; earlier ones would be overwritten.
+        kept = np.minimum(taken, c)
+        before = np.cumsum(kept) - kept
+        k = np.arange(int(kept.sum()))
+        skip = taken - kept
+        if (offered != kept).any():
+            x = x[np.repeat(np.cumsum(offered) - offered + skip - before, kept) + k]
+        # Each stream's columns run on from its cursor and wrap at most once.
+        cols = np.repeat((self.written + skip) % c - before, kept)
+        cols += k
+        np.subtract(cols, c, out=cols, where=cols >= c)
+        slots = np.repeat(np.arange(n) * self._ring.shape[1], kept)
+        slots += cols
+        self._write(slots, cols, x)
         self.written += taken
         self.accepted_samples += taken
         if self.policy == "skip_stale":
             self._advance_stale()
         return taken
 
-    def _write(self, rows: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
-        """Store ``values`` at ring slots ``(rows, cols)``, ``cols`` in
-        ``[0, capacity)``, and at the mirror copy of each slot below
-        ``m``: the ring then holds ``_ring[:, c:] == _ring[:, :m]``."""
-        self._ring[rows, cols] = values
+    def _write(self, slots: np.ndarray, cols: np.ndarray, values: np.ndarray) -> None:
+        """Store ``values`` at flat ring slots ``slots`` (``row * width +
+        col``, ``cols`` in ``[0, capacity)``), and at the mirror copy of
+        each slot below ``m``: the ring then holds ``_ring[:, c:] ==
+        _ring[:, :m]``."""
+        ring = self._ring.reshape(-1)
+        ring[slots] = values
         low = cols < self._mirror
-        self._ring[rows[low], cols[low] + self.spec.capacity] = values[low]
+        ring[slots[low] + self.spec.capacity] = values[low]
 
     def _advance_stale(self) -> None:
         """:meth:`_skip_stale` for every stream at once."""

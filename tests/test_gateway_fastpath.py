@@ -8,8 +8,13 @@
 - :func:`repro.dsp.features.crossing_counts` skips the zero-carry
   propagation on rows without a zero or NaN; its counts must equal the
   propagated signs' for every row.
-- :class:`repro.stream.MomentsBackend` sums rows without a zero seed; an
-  all-``-0.0`` window must still score with the scalar path's sign.
+- :class:`repro.stream.MomentsBackend` sums a window-minor batch one
+  sample row at a time; every window must score bit for bit as the scalar
+  per-sample loop does, one-window batches (which a numpy reduction would
+  sum pairwise) and the sign of an all-``-0.0`` window included.
+- :func:`repro.hw.framing.batch_crc16_ccitt` steps two bytes per table
+  lookup; every row must equal the scalar :func:`~repro.hw.framing.
+  crc16_ccitt` over its stated length, whatever the padding holds.
 - :meth:`repro.hw.framing.FrameBatch.concat_payloads` must equal joining
   the per-frame payloads.
 """
@@ -26,7 +31,18 @@ from repro.dsp.features import (
     crossing_counts,
     zero_crossings,
 )
-from repro.hw.framing import FrameBatch, FramingConfig, decode_frames, encode_frames
+from repro.errors import IntegrityError
+from repro.hw.framing import (
+    FrameBatch,
+    FramingConfig,
+    batch_crc16_ccitt,
+    crc16_ccitt,
+    decode_frame,
+    decode_frames,
+    encode_frame,
+    encode_frames,
+    pack_byte_rows,
+)
 from repro.stream import BACKPRESSURE_POLICIES, MomentsBackend, StreamPool, StreamSpec
 from tests.oracles.stream import gather_reference
 
@@ -211,6 +227,39 @@ class TestMomentsSignOfZero:
             assert np.signbit(score) == np.signbit(want)
 
 
+class TestMomentsSummationOrder:
+    # Mean-only and std-only fusions expose a one-ulp change in either
+    # power sum that the full fusion's other terms could round away.
+    BACKENDS = (
+        MomentsBackend(),
+        MomentsBackend(w_mean=1.0, w_std=0.0, w_range=0.0, w_cross=0.0, bias=0.0),
+        MomentsBackend(w_mean=0.0, w_std=1.0, w_range=0.0, w_cross=0.0, bias=0.0),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_windows=st.one_of(st.sampled_from([1, 2]), st.integers(3, 24)),
+        length=st.integers(9, 130),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_scalar_bitwise(self, n_windows, length, seed):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** rng.integers(-4, 5, (n_windows, 1))
+        matrix = rng.normal(rng.normal(0.0, 2.0, (n_windows, 1)), 1.0,
+                            (n_windows, length)) * scale
+        levels = rng.normal(0.0, 1.0, n_windows) * scale[:, 0]
+        # Samples on their level take the zero-carry crossing rule.
+        on_level = rng.random((n_windows, length)) < 0.05
+        matrix[on_level] = np.broadcast_to(levels[:, None], matrix.shape)[on_level]
+        for backend in self.BACKENDS:
+            scores, decisions = backend.score_matrix(matrix, levels)
+            want = [backend.score_window(row, float(level))
+                    for row, level in zip(matrix, levels)]
+            # Bit patterns, so the sign of a zero score counts too.
+            assert scores.tobytes() == np.array([score for score, _ in want]).tobytes()
+            assert decisions.tolist() == [decision for _, decision in want]
+
+
 class TestPayloadGather:
     @settings(max_examples=80, deadline=None)
     @given(
@@ -263,3 +312,45 @@ class TestPayloadGather:
         assert batch.frame(2).payload == b"xyz"
         with pytest.raises(IndexError):
             batch.payloads[3]
+
+
+BYTE_ROWS = st.lists(st.binary(min_size=0, max_size=40), min_size=1, max_size=12)
+
+
+class TestPairTableCRC:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=BYTE_ROWS,
+        init=st.integers(0, 0xFFFF),
+        pad=st.integers(0, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_scalar_with_poisoned_padding(self, rows, init, pad, seed):
+        matrix, lengths = pack_byte_rows(rows)
+        matrix = np.pad(matrix, ((0, 0), (0, pad)))
+        poison = np.random.default_rng(seed).integers(
+            1, 256, matrix.shape, dtype=np.uint8)
+        padding = np.arange(matrix.shape[1]) >= lengths[:, None]
+        matrix[padding] = poison[padding]
+        got = batch_crc16_ccitt(matrix, lengths=lengths, init=init)
+        assert got.dtype == np.uint16
+        assert got.tolist() == [crc16_ccitt(row, init=init) for row in rows]
+
+    @settings(max_examples=60, deadline=None)
+    @given(payloads=BYTE_ROWS, seed=st.integers(0, 2**32 - 1))
+    def test_scalar_frames_decode_in_batch(self, payloads, seed):
+        rng = np.random.default_rng(seed)
+        config = FramingConfig()
+        frames = [encode_frame(p, i, config) for i, p in enumerate(payloads)]
+        for i in np.nonzero(rng.random(len(frames)) < 0.3)[0]:
+            flipped = bytearray(frames[i])
+            flipped[int(rng.integers(0, len(flipped)))] ^= 1 << int(rng.integers(0, 8))
+            frames[i] = bytes(flipped)
+        batch = decode_frames(frames, config)
+        for i, frame in enumerate(frames):
+            try:
+                want = decode_frame(frame, config)
+            except IntegrityError as exc:  # the scalar verdict, message included
+                assert not batch.ok[i] and batch.errors[i] == str(exc)
+            else:
+                assert batch.ok[i] and batch.frame(i) == want
